@@ -593,47 +593,96 @@ def _det_cofactor(m) -> Polynomial:
     return total
 
 
-def det_bareiss(matrix: Sequence[Sequence]) -> Polynomial:
-    """Fraction-free Bareiss elimination with exact polynomial division."""
-    m = [[_as_poly(x) for x in row] for row in matrix]
-    _require_square(m)
-    k = len(m)
-    if k == 1:
-        return m[0][0]
+def integer_bareiss(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(rank, determinant) of an integer matrix by fraction-free elimination
+    (Bareiss 1968) with row and column pivoting; every division is exact.
+    The determinant is 0 unless the matrix is square of full rank."""
+    rows = [list(row) for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
     sign = 1
-    prev = ONE
-    for col in range(k - 1):
-        pivot_row = None
-        for r in range(col, k):
-            if not m[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return Polynomial()
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
+    prev = 1
+    rank = 0
+    while rank < min(nrows, ncols):
+        r = rank
+        pivot_at = next(
+            ((i, j) for j in range(r, ncols) for i in range(r, nrows) if rows[i][j]), None
+        )
+        if pivot_at is None:
+            break
+        i, j = pivot_at
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
             sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, k):
-            for c in range(col + 1, k):
-                num = m[r][c] * pivot - m[r][col] * m[col][c]
-                m[r][c] = num.exact_div(prev)
-            m[r][col] = ZERO
+        if j != r:  # column r is zero from row r down: a square matrix is singular
+            for row in rows:
+                row[r], row[j] = row[j], row[r]
+        top = rows[r]
+        pivot = top[r]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[r]
+            row[r + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[r + 1:], top[r + 1:])]
+            row[r] = 0
         prev = pivot
-    result = m[k - 1][k - 1]
-    return result if sign == 1 else -result
+        rank += 1
+    det = sign * prev if rank == nrows == ncols else 0
+    return rank, det
+
+
+def _integer_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Rows scaled to integers by the lcm of their denominators, with the
+    product of those scales (the factor the determinant is multiplied by)."""
+    rows = []
+    scale = 1
+    for row in matrix:
+        fr = [x if isinstance(x, (int, Fraction)) else _to_fraction(x) for x in row]
+        lcm = math.lcm(*(f.denominator for f in fr))
+        rows.append([f.numerator * (lcm // f.denominator) for f in fr])
+        scale *= lcm
+    return rows, scale
+
+
+def _det_laplace(m) -> Polynomial:
+    """Laplace expansion along the rows, memoized over column subsets:
+    minors[cols] is the determinant of the first rows (as many as cols has
+    bits) on the columns in the bitmask cols, so the k x k determinant costs
+    O(2^k * k) products and no division."""
+    k = len(m)
+    minors = {0: ONE}
+    for row in m:
+        nxt: dict = {}
+        for cols, minor in minors.items():
+            above = 0  # columns in cols to the right of j; their parity is the cofactor sign
+            for j in range(k - 1, -1, -1):
+                bit = 1 << j
+                if cols & bit:
+                    above += 1
+                    continue
+                a = row[j]
+                if a.is_zero():
+                    continue
+                term = a * minor
+                key = cols | bit
+                acc = nxt.get(key)
+                if above & 1:
+                    nxt[key] = -term if acc is None else acc - term
+                else:
+                    nxt[key] = term if acc is None else acc + term
+        minors = {s: p for s, p in nxt.items() if not p.is_zero()}
+    return minors.get((1 << k) - 1, ZERO)
 
 
 def determinant(matrix: Sequence[Sequence]) -> Polynomial:
-    """Exact symbolic determinant: cofactor below 5x5 (and for very sparse
-    entries, where Bareiss' exact divisions dominate), Bareiss otherwise."""
+    """Exact determinant.  Constant matrices go through integer Bareiss after
+    scaling each row to integers; polynomial ones through memoized Laplace
+    expansion."""
     rows = [[_as_poly(x) for x in row] for row in matrix]
     _require_square(rows)
-    if len(rows) < 5:
-        return det_cofactor(rows)
-    if all(len(x.terms) <= 2 for row in rows for x in row):
-        return det_cofactor(rows)
-    return det_bareiss(rows)
+    if all(x.is_constant() for row in rows for x in row):
+        ints, scale = _integer_rows(rows)
+        return Polynomial.const(Fraction(integer_bareiss(ints)[1]) / scale)
+    return _det_laplace(rows)
 
 
 def _require_square(m) -> None:
@@ -702,40 +751,5 @@ def _to_fraction(x) -> Fraction:
 
 
 def rank_rational(matrix: Sequence[Sequence]) -> int:
-    """Rank over Q via integer fraction-free (Bareiss) elimination."""
-    rows = []
-    for row in matrix:
-        fr = [Fraction(x) if not isinstance(x, Fraction) else x for x in row]
-        scale = math.lcm(*(f.denominator for f in fr)) if fr else 1
-        rows.append([int(f * scale) for f in fr])
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    r = 0
-    cols = list(range(ncols))
-    while r < nrows and r < len(cols):
-        # find a pivot anywhere in the remaining block
-        pr = pc = None
-        for cj in range(r, len(cols)):
-            for ri in range(r, nrows):
-                if rows[ri][cols[cj]] != 0:
-                    pr, pc = ri, cj
-                    break
-            if pr is not None:
-                break
-        if pr is None:
-            break
-        rows[r], rows[pr] = rows[pr], rows[r]
-        cols[r], cols[pc] = cols[pc], cols[r]
-        pivot = rows[r][cols[r]]
-        for ri in range(r + 1, nrows):
-            f = rows[ri][cols[r]]
-            for cj in range(r + 1, len(cols)):
-                c = cols[cj]
-                rows[ri][c] = (rows[ri][c] * pivot - f * rows[r][c]) // prev
-            rows[ri][cols[r]] = 0
-        prev = pivot
-        rank += 1
-        r += 1
-    return rank
+    """Rank over Q: rows scaled to integers, then integer Bareiss."""
+    return integer_bareiss(_integer_rows(matrix)[0])[0]

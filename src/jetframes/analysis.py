@@ -28,6 +28,7 @@ from .algebra import (
     Variable,
     coord,
     enumerate_exponents,
+    integer_bareiss,
     jet,
     mi_total,
     phi,
@@ -242,26 +243,6 @@ def _derivative_column_values(alpha, series, n):
     return [prod[kappa] * math.factorial(kappa) for kappa in range(1, n + 1)]
 
 
-def _int_det(matrix) -> int:
-    m = [row[:] for row in matrix]
-    size = len(m)
-    sign = 1
-    prev = 1
-    for col in range(size - 1):
-        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        for r in range(col + 1, size):
-            for c in range(col + 1, size):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[size - 1][size - 1]
-
-
 def _admissible_alphas(variant, ctx, chart=None):
     excl = excluded_exponents(variant, ctx, chart)
     return [a for a in enumerate_exponents(ctx.nvars, ctx.n) if a not in excl]
@@ -322,14 +303,14 @@ def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345)
                     [alpha_col[r] if c == k - 1 else base_cols[c + 1][r] for c in range(n)]
                     for r in range(n)
                 ]
-                b_values.append(_int_det(matrix))
+                b_values.append(integer_bareiss(matrix)[1])
             claimed = {k: la + base_order - col_weight[k] for k in range(1, n + 1)}
             claimed[0] = la + base_order
             if variant == VARIANT_POWER:
                 row0 = [series[1][0] ** k for k in range(1, n + 1)]
             else:
                 row0 = [series[k][0] for k in range(1, n + 1)]
-            scale_val = _int_det([[base_cols[c + 1][r] for c in range(n)] for r in range(n)])
+            scale_val = integer_bareiss([[base_cols[c + 1][r] for c in range(n)] for r in range(n)])[1]
             alpha_val = 1
             for i, e in enumerate(alpha, start=1):
                 alpha_val *= series[i][0] ** e
@@ -563,18 +544,32 @@ def field_vector(field: FrameField, point: JetPoint, ctx: JetContext) -> list:
     ]
 
 
+# Draws sample_for_variant makes before giving up.  The degenerate loci are
+# proper subvarieties, so a uniform draw rarely lands on one; hitting the limit
+# means the sampler is broken, not unlucky.
+SAMPLE_ATTEMPTS = 1000
+
+
+class SamplingError(RuntimeError):
+    """No draw left the degenerate locus within SAMPLE_ATTEMPTS tries."""
+
+
 def sample_for_variant(ctx: JetContext, chart: int, variant: int, rng: random.Random) -> JetPoint:
     """Sample a certified point in the open locus the variant needs: first
     jets not all zero (automatic: the chart jet is nonzero), and for the
     classical variant a nonvanishing classical Wronskian."""
     w = classical_wronskian(ctx)
-    while True:
+    for _ in range(SAMPLE_ATTEMPTS):
         point = sample_vertical_jet(ctx, chart, rng)
         if first_jets_all_zero(point, ctx):
             continue
         if variant == VARIANT_CLASSICAL and w.evaluate(point.assignment) == 0:
             continue
         return point
+    raise SamplingError(
+        f"no admissible point for variant {variant} on chart {chart} "
+        f"in {SAMPLE_ATTEMPTS} draws at (n, d) = ({ctx.n}, {ctx.d})"
+    )
 
 
 def spanning_check(

@@ -459,7 +459,11 @@ def main(argv=None) -> int:
         parser.error(f"--d must exceed --n (got n={args.n}, d={args.d})")
     if not 1 <= args.chart <= args.n + 1:
         parser.error(f"--chart must lie in [1, {args.n + 1}]")
+    if args.trials < 1:
+        parser.error(f"--trials must be >= 1 (got {args.trials})")
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
+    if not suites:
+        parser.error("--suites must name at least one suite")
     unknown = [s for s in suites if s not in SUITE_ORDER]
     if unknown:
         parser.error(f"unknown suites: {', '.join(unknown)}")

@@ -253,45 +253,60 @@ def solve_jet_field_coefficients(ctx: JetContext, linear_map=None) -> JetFieldTa
     return _solve_symbolic_table(ctx).substitute_matrix(linear_map)
 
 
+def jet_field_block(ctx: JetContext, rho) -> tuple[list, list, list]:
+    """The square integer block of the jet-field system at total index rho:
+    its unknowns beta, one row per equation, and each row's multiset js of
+    derivative directions (None for the order-0 equation)."""
+    nvars = ctx.nvars
+    unknowns = [
+        beta
+        for beta in enumerate_exponents(nvars, ctx.n)
+        if mi_leq(beta, rho) and rho[0] - beta[0] < ctx.d
+    ]
+    rows: list = []
+    keys: list = []
+    if not unknowns:
+        return unknowns, rows, keys
+    if rho[0] < ctx.d:
+        rows.append([1] * len(unknowns))
+        keys.append(None)
+    for e in range(1, ctx.n + 1):
+        for js in combinations_with_replacement(range(1, nvars + 1), e):
+            sigma = _counts(js, nvars)
+            if not mi_leq(sigma, rho):
+                continue
+            row = []
+            for beta in unknowns:
+                alpha = mi_sub(rho, beta)
+                c = 1
+                for j in range(nvars):
+                    if sigma[j]:
+                        c *= falling_factorial(alpha[j], sigma[j])
+                        if c == 0:
+                            break
+                row.append(c)
+            rows.append(row)
+            keys.append(js)
+    return unknowns, rows, keys
+
+
 @lru_cache(maxsize=None)
 def _solve_symbolic_table(ctx: JetContext) -> JetFieldTable:
-    nvars = ctx.nvars
     top_rho = ctx.normalized_exponent
     entries: dict = {}
     block_dets: dict = {}
     top_factor = Polynomial.zero()
 
-    rhos = [top_rho] + [r for r in enumerate_exponents(nvars, ctx.d) if r != top_rho]
+    rhos = [top_rho] + [r for r in enumerate_exponents(ctx.nvars, ctx.d) if r != top_rho]
     for rho in rhos:
-        unknowns = [
-            beta
-            for beta in enumerate_exponents(nvars, ctx.n)
-            if mi_leq(beta, rho) and rho[0] - beta[0] < ctx.d
-        ]
+        unknowns, rows, keys = jet_field_block(ctx, rho)
         if not unknowns:
             continue
-        rows = []
-        rhs = []
-        if rho[0] < ctx.d:
-            rows.append([1] * len(unknowns))
-            rhs.append(ctx.coeff_poly(rho) * top_factor)  # moved to the right-hand side
-        for e in range(1, ctx.n + 1):
-            for js in combinations_with_replacement(range(1, nvars + 1), e):
-                sigma = _counts(js, nvars)
-                if not mi_leq(sigma, rho):
-                    continue
-                row = []
-                for beta in unknowns:
-                    alpha = mi_sub(rho, beta)
-                    c = 1
-                    for j in range(nvars):
-                        if sigma[j]:
-                            c *= falling_factorial(alpha[j], sigma[j])
-                            if c == 0:
-                                break
-                    row.append(c)
-                rows.append(row)
-                rhs.append(-_remainder(rho, js, None, ctx))
+        # the order-0 equation has top_factor moved to the right-hand side
+        rhs = [
+            ctx.coeff_poly(rho) * top_factor if js is None else -_remainder(rho, js, None, ctx)
+            for js in keys
+        ]
         if len(rows) != len(unknowns):
             raise RuntimeError(
                 f"block {rho}: {len(rows)} equations for {len(unknowns)} unknowns"

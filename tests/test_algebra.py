@@ -13,7 +13,6 @@ from jetframes.algebra import (
     binomial_product,
     coeff,
     coord,
-    det_bareiss,
     det_cofactor,
     determinant,
     enumerate_exponents,
@@ -164,21 +163,70 @@ def test_det_nonsquare_rejected():
         determinant([[one, one]])
 
 
-def test_bareiss_matches_cofactor_on_random_matrices():
+def _random_rational_matrix(rng, nrows, ncols, rank=None):
+    """Random rational matrix; with rank given, the rows past it are rational
+    combinations of the first ones, so the rank is at most that."""
+    m = [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(ncols)]
+        for _ in range(nrows if rank is None else rank)
+    ]
+    while len(m) < nrows:
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(len(m))]
+        m.append([sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(ncols)])
+    rng.shuffle(m)
+    return m
+
+
+def test_determinant_matches_cofactor_on_random_matrices():
     rng = random.Random(23)
-    for size in (2, 3, 4):
-        for _ in range(8):
-            m = [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(size)]
-                for _ in range(size)
-            ]
-            assert det_bareiss(m) == det_cofactor(m)
+    for size in range(1, 8):
+        for trial in range(6 if size < 7 else 2):
+            singular = trial % 2 == 1
+            m = _random_rational_matrix(rng, size, size, rank=size - 1 if singular else None)
+            det = determinant(m)
+            assert det == det_cofactor(m)
+            if singular:
+                assert det.is_zero()
 
 
-def test_bareiss_matches_cofactor_on_symbolic_matrix():
+def test_determinant_matches_cofactor_on_symbolic_matrices():
     rng = random.Random(29)
-    m = [[rand_poly(rng, nvars=2, nterms=2, max_exp=2) for _ in range(3)] for _ in range(3)]
-    assert det_bareiss(m) == det_cofactor(m)
+    for size in (3, 3, 5):
+        m = [[rand_poly(rng, nvars=2, nterms=3, max_exp=2) for _ in range(size)] for _ in range(size)]
+        assert sum(len(x.terms) > 1 for row in m for x in row) > size
+        det = determinant(m)
+        assert det == det_cofactor(m)
+        assert not det.is_zero()
+    # a polynomial combination of the other rows makes the last one dependent
+    m[-1] = [m[0][j] * z1 - m[1][j] for j in range(size)]
+    assert determinant(m).is_zero() and det_cofactor(m).is_zero()
+    # constant and polynomial entries mixed in one matrix
+    m[2] = [Fraction(j + 1, 2) for j in range(size)]
+    assert determinant(m) == det_cofactor(m)
+
+
+def _sympy_qq_matrix(m):
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import QQ
+
+    rows = [[QQ(x.numerator, x.denominator) for x in row] for row in m]
+    return matrices.DomainMatrix(rows, (len(m), len(m[0])), QQ)
+
+
+def test_determinant_and_rank_match_sympy_up_to_20x20():
+    rng = random.Random(31)
+    for size in (1, 2, 5, 9, 14, 20):
+        for rank in (size, size - 1, size // 2):
+            if rank < 1:
+                continue
+            m = _random_rational_matrix(rng, size, size, rank=rank)
+            reference = _sympy_qq_matrix(m)
+            expected = reference.det()
+            assert determinant(m) == Fraction(int(expected.numerator), int(expected.denominator))
+            assert rank_rational(m) == reference.rank()
+    for nrows, ncols, rank in ((3, 7, 2), (12, 5, 5), (20, 13, 9)):
+        m = _random_rational_matrix(rng, nrows, ncols, rank=rank)
+        assert rank_rational(m) == _sympy_qq_matrix(m).rank() == rank
 
 
 def test_solve_identity():
@@ -247,6 +295,10 @@ def test_rank_rational():
     assert rank_rational([[1, 0, 3], [0, 1, 5]]) == 2
     assert rank_rational([[Fraction(1, 2), Fraction(1, 3)], [1, 1]]) == 2
     assert rank_rational([[0, 0], [0, 0]]) == 0
+    # a column that is zero below the pivots must not end the elimination
+    assert rank_rational([[0, 1], [0, 2], [0, 0]]) == 1
+    assert rank_rational([[1, 2, 3], [2, 4, 5]]) == 2
+    assert determinant([[1, 2, 3], [2, 4, 5], [0, 0, 7]]) == 0
 
 
 def test_variable_order_and_names():

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from jetframes.algebra import Polynomial, VectorField, coeff, coord, jet
+from jetframes.algebra import JET, Polynomial, VectorField, coeff, coord, jet
 from jetframes.analysis import (
     PoleOrder,
     ReparamJet,
@@ -34,6 +34,7 @@ from jetframes.frames import (
 )
 from jetframes.jetspace import (
     JetContext,
+    JetPoint,
     defining_equations_iterated,
     sample_vertical_jet,
 )
@@ -396,6 +397,29 @@ def test_sampler_avoids_degenerate_loci():
         p2 = sample_for_variant(ctx, 1, VARIANT_CLASSICAL, rng)
         assert w.evaluate(p2.assignment) != 0
         assert not wronskians_all_zero(p2, ctx)
+
+
+def test_sampler_gives_up_with_named_error(monkeypatch):
+    import jetframes.analysis as analysis
+
+    ctx = CTX23
+    real = sample_vertical_jet(ctx, 1, rng=4)
+    # keep only the chart jet: first jets are not all zero, but every
+    # classical Wronskian minor vanishes, so no draw is admissible
+    degenerate = {v: 0 if v[0] == JET and v != jet(1, 1) else x for v, x in real.assignment.items()}
+    draws = []
+
+    def stuck_sampler(ctx, chart, rng):
+        draws.append(chart)
+        return JetPoint(dict(degenerate), chart)
+
+    monkeypatch.setattr(analysis, "sample_vertical_jet", stuck_sampler)
+    monkeypatch.setattr(analysis, "SAMPLE_ATTEMPTS", 7)
+    with pytest.raises(analysis.SamplingError, match="in 7 draws"):
+        analysis.sample_for_variant(ctx, 1, VARIANT_CLASSICAL, random.Random(0))
+    assert len(draws) == 7
+    # the power variant accepts the same point at once
+    assert analysis.sample_for_variant(ctx, 1, VARIANT_POWER, random.Random(0)).chart == 1
 
 
 @pytest.mark.parametrize("n,d", [(1, 2), (1, 3), (2, 4)])

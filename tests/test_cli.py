@@ -39,6 +39,22 @@ def test_usage_error_unknown_suite():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_usage_error_when_no_trials(capsys, trials):
+    # zero or negative trials would check nothing and still print PASS
+    with pytest.raises(SystemExit) as exc:
+        main(["--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials must be >= 1" in capsys.readouterr().err
+
+
+def test_usage_error_empty_suite_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--suites="])
+    assert exc.value.code == 2
+    assert "--suites must name at least one suite" in capsys.readouterr().err
+
+
 def test_pole_orders_json_contains_recovered_constant(capsys):
     code, report, _ = run_json(capsys, ["--n", "2", "--d", "3", "--suites", "pole-orders"])
     assert code == 0

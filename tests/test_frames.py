@@ -21,6 +21,7 @@ from jetframes.frames import (
     coefficient_field,
     coordinate_field,
     enumerate_frame,
+    jet_field_block,
     jet_linear_field,
     shift_split_identity,
     shifted_coefficient_field,
@@ -246,6 +247,27 @@ def test_jet_block_determinants_nonzero():
     assert table.block_dets
     for rho, det in table.block_dets.items():
         assert det != 0
+
+
+def test_jet_block_determinants_match_sympy():
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import ZZ
+
+    table = solve_jet_field_coefficients(CTX34)
+    assert len(table.block_dets) == len(enumerate_exponents(CTX34.nvars, CTX34.d))
+    for rho, det in table.block_dets.items():
+        _, rows, _ = jet_field_block(CTX34, rho)
+        block = matrices.DomainMatrix([[ZZ(x) for x in row] for row in rows], (len(rows), len(rows)), ZZ)
+        assert det == int(block.det()), rho
+
+
+def test_jet_block_determinants_nonzero_at_35():
+    # 126 integer blocks up to 19 x 19: out of reach of cofactor expansion
+    ctx = JetContext(3, 5)
+    table = solve_jet_field_coefficients(ctx)
+    assert len(table.block_dets) == 126
+    assert max(len(jet_field_block(ctx, rho)[0]) for rho in table.block_dets) == 19
+    assert all(det != 0 for det in table.block_dets.values())
 
 
 def test_jet_field_tangency_identities_symbolic():
