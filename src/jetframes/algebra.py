@@ -322,6 +322,24 @@ class Polynomial:
         p.terms = {m: _norm_scalar(c) for m, c in out.items()}
         return p
 
+    def gradient(self, variables=None) -> dict:
+        """Every nonzero partial derivative, {v: self.diff(v)}, from one pass
+        over the terms; restricted to v in variables when that is given."""
+        parts: dict = {}
+        for m, c in self.terms.items():
+            for idx, (v, e) in enumerate(m):
+                if variables is not None and v not in variables:
+                    continue
+                nm = m[:idx] + m[idx + 1:] if e == 1 else m[:idx] + ((v, e - 1),) + m[idx + 1:]
+                # m -> m / v is injective, so no two terms of one partial collide
+                parts.setdefault(v, {})[nm] = _norm_scalar(c * e)
+        out = {}
+        for v, terms in parts.items():
+            p = Polynomial()
+            p.terms = terms
+            out[v] = p
+        return out
+
     def subs(self, bindings: Mapping[Variable, "Polynomial | Scalar"]) -> "Polynomial":
         """Simultaneous substitution; unbound variables pass through."""
         if not bindings:
@@ -467,10 +485,8 @@ class VectorField:
     def apply(self, p: Polynomial) -> Polynomial:
         """Apply the derivation to p (linear, Leibniz by construction)."""
         out = Polynomial()
-        for v, c in self.coeffs.items():
-            dp = p.diff(v)
-            if not dp.is_zero():
-                out = out + c * dp
+        for v, dp in p.gradient(self.coeffs).items():
+            out = out + self.coeffs[v] * dp
         return out
 
     def __eq__(self, other) -> bool:
@@ -753,3 +769,31 @@ def _to_fraction(x) -> Fraction:
 def rank_rational(matrix: Sequence[Sequence]) -> int:
     """Rank over Q: rows scaled to integers, then integer Bareiss."""
     return integer_bareiss(_integer_rows(matrix)[0])[0]
+
+
+# A 61-bit prime: a nonzero integer minor vanishes modulo it only by rare
+# accident, and residues stay small Python ints.
+MODULUS = 2**61 - 1
+
+
+def rank_modular(matrix: Sequence[Sequence]) -> int:
+    """Rank modulo MODULUS of the matrix with rows scaled to integers.  It
+    never exceeds the rank over Q (a minor nonzero mod p is nonzero), so it
+    certifies the rank exactly when it reaches a proven upper bound."""
+    rows = [[x % MODULUS for x in row] for row in _integer_rows(matrix)[0]]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = pow(top[col], -1, MODULUS)
+        tail = top[col + 1:]
+        for row in rows[rank + 1:]:
+            if row[col]:
+                f = row[col] * inv % MODULUS
+                row[col + 1:] = [(x - f * y) % MODULUS for x, y in zip(row[col + 1:], tail)]
+        rank += 1
+    return rank

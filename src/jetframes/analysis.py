@@ -27,20 +27,19 @@ from .algebra import (
     VectorField,
     Variable,
     coord,
-    enumerate_exponents,
     integer_bareiss,
     jet,
     mi_total,
     phi,
+    rank_modular,
     rank_rational,
     solve_linear_exact,
     var_name,
 )
-from .frames import FrameField, enumerate_frame
+from .frames import FrameField, admissible_coefficient_exponents, enumerate_frame
 from .jetspace import (
     JetContext,
     JetPoint,
-    defining_equations_iterated,
     first_jets_all_zero,
     jacobian_matrix_at,
     sample_vertical_jet,
@@ -51,7 +50,6 @@ from .wronskian import (
     VARIANT_POWER,
     classical_wronskian,
     cramer_coefficients,
-    excluded_exponents,
     power_wronskian,
 )
 
@@ -243,11 +241,6 @@ def _derivative_column_values(alpha, series, n):
     return [prod[kappa] * math.factorial(kappa) for kappa in range(1, n + 1)]
 
 
-def _admissible_alphas(variant, ctx, chart=None):
-    excl = excluded_exponents(variant, ctx, chart)
-    return [a for a in enumerate_exponents(ctx.nvars, ctx.n) if a not in excl]
-
-
 def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345) -> PoleTableReport:
     """Compare computed pole orders of the named determinants against their
     closed forms.  For n <= expand_limit every object is fully expanded; above
@@ -294,7 +287,7 @@ def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345)
         else:
             col_weight = {k: 1 for k in range(1, n + 1)}
             base_order = n * (n + 1) // 2 + n
-        for alpha in _admissible_alphas(variant, ctx, chart):
+        for alpha in admissible_coefficient_exponents(variant, ctx, chart):
             la = mi_total(alpha)
             alpha_col = _derivative_column_values(alpha, series, n)
             b_values = []
@@ -582,17 +575,22 @@ def spanning_check(
 ) -> list:
     """For each trial: sample a certified point in the admissible locus,
     verify every enumerated field is tangent there (annihilates all Jacobian
-    rows), and check the stacked field values span the full tangent space."""
+    rows), and check the stacked field values span the full tangent space.
+
+    Both ranks are first taken modulo a prime, which never exceeds the rank
+    over Q.  The Jacobian has n+1 rows, so a modular rank of n+1 is exact.
+    Tangent fields lie in ker J, of dimension expected once rank J = n+1, so a
+    modular rank of expected is exact too.  Otherwise rank_rational decides."""
     rng = random.Random(seed)
     if fields is None:
         fields = enumerate_frame(ctx, chart, variant)
-    eqs = defining_equations_iterated(ctx)
     expected = ctx.ambient_dimension - (ctx.n + 1)
     results = []
     for t in range(trials):
         point = sample_for_variant(ctx, chart, variant, rng)
-        jac = jacobian_matrix_at(point, ctx, eqs)
-        jrank = rank_rational(jac)
+        jac = jacobian_matrix_at(point, ctx)
+        jac_certified = rank_modular(jac) == ctx.n + 1
+        jrank = ctx.n + 1 if jac_certified else rank_rational(jac)
         vectors = []
         tangent_ok = True
         offender = None
@@ -604,7 +602,10 @@ def spanning_check(
                     tangent_ok = False
                     offender = offender or f.label
                     break
-        rank = rank_rational(vectors)
+        if tangent_ok and jac_certified and rank_modular(vectors) == expected:
+            rank = expected
+        else:
+            rank = rank_rational(vectors)
         results.append(
             SpanningTrial(
                 index=t,

@@ -20,6 +20,7 @@ from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 from .algebra import (
+    MAT,
     Polynomial,
     VectorField,
     binomial_product,
@@ -98,6 +99,16 @@ def canonical_shift_budget(alpha, ctx: JetContext) -> tuple:
     return tuple(ell)
 
 
+def canonical_shifted_fields(ctx: JetContext) -> list:
+    """One shifted field per long exponent (n + 1 <= |alpha| <= d, alpha_0 < d),
+    each with its canonical shift budget."""
+    return [
+        shifted_coefficient_field(alpha, canonical_shift_budget(alpha, ctx), ctx)
+        for alpha in enumerate_exponents(ctx.nvars, ctx.d)
+        if ctx.n + 1 <= mi_total(alpha) and alpha[0] < ctx.d
+    ]
+
+
 def shifted_coefficient_field(alpha, ell, ctx: JetContext) -> FrameField:
     """Signed multinomial combination of coefficient directions a_{alpha - s}
     weighted by the monomials z^s over all splittings s <= ell."""
@@ -160,6 +171,12 @@ def coordinate_field(i: int, ctx: JetContext) -> FrameField:
 # -- jet-linear fields ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _jet_exponents(ctx: JetContext) -> tuple:
+    """The exponents beta of z^beta in a coefficient direction: |beta| <= n."""
+    return tuple(enumerate_exponents(ctx.nvars, ctx.n))
+
+
 class JetFieldTable:
     """Solved coefficient table for a jet-linear field; zero outside the
     stored support.
@@ -177,6 +194,7 @@ class JetFieldTable:
         self.entries = entries  # (alpha, beta) -> Polynomial
         self.top_factor = top_factor  # quotient of the order-0 tangency by E_0
         self.block_dets = block_dets  # rho -> integer determinant of the block
+        self._parts = None
 
     def get(self, alpha, beta) -> Polynomial:
         return self.entries.get((tuple(alpha), tuple(beta)), Polynomial.zero())
@@ -185,32 +203,56 @@ class JetFieldTable:
         """A_alpha as a polynomial in z (and coefficients / matrix entries)."""
         alpha = tuple(alpha)
         total = Polynomial.zero()
-        for beta in enumerate_exponents(self.ctx.nvars, self.ctx.n):
+        for beta in _jet_exponents(self.ctx):
             entry = self.entries.get((alpha, beta))
             if entry is not None and not entry.is_zero():
                 total = total + entry * self.ctx.monomial_z(beta)
         return total
 
+    def matrix_parts(self) -> dict:
+        """{(k, l): the table of d/dm(k,l)}, split from the terms in one pass.
+        The table is linear in the matrix entries, so the part of (k, l) is
+        the table at the elementary matrix E_kl; a term of any other shape
+        raises ValueError."""
+        if self._parts is None:
+            size = range(1, self.ctx.nvars + 1)
+            # (k, l) -> (entry terms by key, top_factor terms)
+            split = {(k, l): ({}, {}) for k in size for l in size}
+            for key, val in [*self.entries.items(), (None, self.top_factor)]:
+                for mono, c in val.terms.items():
+                    mats = [pair for pair in mono if pair[0][0] == MAT]
+                    if len(mats) != 1 or mats[0][1] != 1:
+                        raise ValueError(f"table term {mono} is not linear in the matrix entries")
+                    entries, top = split[mats[0][0][1:]]
+                    terms = top if key is None else entries.setdefault(key, {})
+                    terms[tuple(pair for pair in mono if pair not in mats)] = c
+            self._parts = {
+                kl: JetFieldTable(
+                    self.ctx,
+                    {key: Polynomial(terms) for key, terms in entries.items()},
+                    Polynomial(top),
+                    self.block_dets,
+                )
+                for kl, (entries, top) in split.items()
+            }
+        return self._parts
+
     def substitute_matrix(self, linear_map) -> "JetFieldTable":
-        binds = {
-            mat(k, l): Fraction(linear_map[k - 1][l - 1])
-            for k in range(1, self.ctx.nvars + 1)
-            for l in range(1, self.ctx.nvars + 1)
-        }
-        entries = {}
-        for key, val in self.entries.items():
-            sub = val.subs(binds)
-            if not sub.is_zero():
-                entries[key] = sub
-        return JetFieldTable(
-            self.ctx, entries, self.top_factor.subs(binds), dict(self.block_dets)
-        )
-
-
-def _matrix_entry_poly(linear_map, k: int, l: int) -> Polynomial:
-    if linear_map is None:
-        return Polynomial.var(mat(k, l))
-    return Polynomial.const(Fraction(linear_map[k - 1][l - 1]))
+        """The table at a numeric matrix: sum over (k, l) of
+        linear_map[k-1][l-1] times the part of m(k, l)."""
+        entries: dict = {}
+        top: dict = {}
+        for (k, l), part in self.matrix_parts().items():
+            lam = Fraction(linear_map[k - 1][l - 1])
+            if not lam:
+                continue
+            for key, val in [*part.entries.items(), (None, part.top_factor)]:
+                terms = top if key is None else entries.setdefault(key, {})
+                for mono, c in val.terms.items():
+                    terms[mono] = terms.get(mono, 0) + lam * c
+        polys = {key: Polynomial(terms) for key, terms in entries.items()}
+        nonzero = {key: p for key, p in polys.items() if not p.is_zero()}
+        return JetFieldTable(self.ctx, nonzero, Polynomial(top), dict(self.block_dets))
 
 
 def _counts(js: Sequence[int], nvars: int) -> tuple:
@@ -220,7 +262,7 @@ def _counts(js: Sequence[int], nvars: int) -> tuple:
     return tuple(c)
 
 
-def _remainder(rho, js, linear_map, ctx: JetContext) -> Polynomial:
+def _remainder(rho, js, ctx: JetContext) -> Polynomial:
     """Bilinear remainder of the derivative equation indexed by the multiset
     js at the monomial z^{rho - sum e_j}: the matrix-transport of the ambient
     equation, coefficient-extracted in closed form."""
@@ -244,7 +286,7 @@ def _remainder(rho, js, linear_map, ctx: JetContext) -> Polynomial:
                         break
             if c == 0:
                 continue
-            total = total + c * ctx.coeff_poly(gamma_t) * _matrix_entry_poly(linear_map, l, jm)
+            total = total + c * ctx.coeff_poly(gamma_t) * Polynomial.var(mat(l, jm))
     return total
 
 
@@ -313,7 +355,7 @@ def _solve_symbolic_table(ctx: JetContext) -> JetFieldTable:
             continue
         # the order-0 equation has top_factor moved to the right-hand side
         rhs = [
-            ctx.coeff_poly(rho) * top_factor if js is None else -_remainder(rho, js, None, ctx)
+            ctx.coeff_poly(rho) * top_factor if js is None else -_remainder(rho, js, ctx)
             for js in keys
         ]
         if len(rows) != len(unknowns):
@@ -347,7 +389,11 @@ def jet_linear_field(linear_map, ctx: JetContext, table: JetFieldTable | None = 
         for lam in range(1, ctx.n + 1):
             total = Polynomial.zero()
             for l in range(1, ctx.nvars + 1):
-                total = total + _matrix_entry_poly(linear_map, k, l) * Polynomial.var(jet(l, lam))
+                if linear_map is None:
+                    m_kl = Polynomial.var(mat(k, l))
+                else:
+                    m_kl = Fraction(linear_map[k - 1][l - 1])
+                total = total + m_kl * Polynomial.var(jet(l, lam))
             directions[jet(k, lam)] = total
     for alpha in ctx.coeff_exponents:
         a_dir = table.coefficient_direction(alpha)
@@ -373,15 +419,12 @@ def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWE
     chart_arg = chart if variant == VARIANT_POWER else None
     for alpha in admissible_coefficient_exponents(variant, ctx, chart_arg):
         fields.append(coefficient_field(variant, alpha, ctx, chart_arg))
-    for alpha in enumerate_exponents(ctx.nvars, ctx.d):
-        if ctx.n + 1 <= mi_total(alpha) <= ctx.d and alpha[0] < ctx.d:
-            ell = canonical_shift_budget(alpha, ctx)
-            fields.append(shifted_coefficient_field(alpha, ell, ctx))
+    fields += canonical_shifted_fields(ctx)
     for i in range(1, ctx.nvars + 1):
         fields.append(coordinate_field(i, ctx))
-    symbolic = solve_jet_field_coefficients(ctx)
+    parts = _solve_symbolic_table(ctx).matrix_parts()
     for k in range(1, ctx.nvars + 1):
         for l in range(1, ctx.nvars + 1):
-            m = elementary_matrix(k, l, ctx.nvars)
-            fields.append(jet_linear_field(m, ctx, table=symbolic.substitute_matrix(m)))
+            # the table is linear in M, so E_kl's table is the part of m(k, l)
+            fields.append(jet_linear_field(elementary_matrix(k, l, ctx.nvars), ctx, table=parts[(k, l)]))
     return fields

@@ -385,19 +385,23 @@ def wronskians_all_zero(point: JetPoint, ctx: JetContext) -> bool:
     return jet_matrix_rank(point, ctx) < ctx.n
 
 
-def jacobian_matrix_at(point: JetPoint, ctx: JetContext, eqs: Sequence[Polynomial] | None = None):
-    if eqs is None:
-        eqs = defining_equations_iterated(ctx)
-    rows = []
-    for eq in eqs:
-        row = []
-        for v in ctx.ambient_variables:
-            dp = eq.diff(v)
-            row.append(Fraction(dp.evaluate(point.assignment)) if not dp.is_zero() else Fraction(0))
-        rows.append(row)
-    return rows
+@lru_cache(maxsize=None)
+def equation_gradients(ctx: JetContext) -> tuple:
+    """The symbolic gradient {v: dE/dv} of each defining equation, computed
+    once per context."""
+    return tuple(eq.gradient() for eq in defining_equations_iterated(ctx))
 
 
-def jacobian_rank_at(point: JetPoint, ctx: JetContext, eqs: Sequence[Polynomial] | None = None) -> int:
+def jacobian_matrix_at(point: JetPoint, ctx: JetContext):
+    """The (n+1) x ambient Jacobian of the defining equations at the point."""
+    zero = Fraction(0)
+    return [
+        [Fraction(grad[v].evaluate(point.assignment)) if v in grad else zero
+         for v in ctx.ambient_variables]
+        for grad in equation_gradients(ctx)
+    ]
+
+
+def jacobian_rank_at(point: JetPoint, ctx: JetContext) -> int:
     """Rank over Q of the (n+1) x ambient Jacobian of the defining equations."""
-    return rank_rational(jacobian_matrix_at(point, ctx, eqs))
+    return rank_rational(jacobian_matrix_at(point, ctx))

@@ -20,7 +20,6 @@ orders c_n = (n^2+5n)/2 and c'_n = 1 need, which exact computation confirms:
 """
 
 import json
-import math
 import random
 import time
 from fractions import Fraction
@@ -31,7 +30,6 @@ from jetframes.algebra import (
     Polynomial,
     coord,
     enumerate_exponents,
-    jet,
     mi_sub,
     mi_total,
     phi,
@@ -50,13 +48,12 @@ from jetframes.analysis import (
 from jetframes.cli import RunConfig, main, run
 from jetframes.frames import (
     admissible_coefficient_exponents,
-    canonical_shift_budget,
+    canonical_shifted_fields,
     coefficient_field,
     coordinate_field,
     enumerate_frame,
     jet_field_block,
     jet_linear_field,
-    shifted_coefficient_field,
     solve_jet_field_coefficients,
 )
 from jetframes.jetspace import (
@@ -145,11 +142,7 @@ def test_criterion_03_exact_tangency():
             coefficient_field(VARIANT_CLASSICAL, a, ctx)
             for a in admissible_coefficient_exponents(VARIANT_CLASSICAL, ctx)
         ]
-        fields += [
-            shifted_coefficient_field(a, canonical_shift_budget(a, ctx), ctx)
-            for a in enumerate_exponents(ctx.nvars, ctx.d)
-            if ctx.n + 1 <= mi_total(a) <= ctx.d and a[0] < ctx.d
-        ]
+        fields += canonical_shifted_fields(ctx)
         fields += [coordinate_field(i, ctx) for i in range(1, ctx.nvars + 1)]
         for f in fields:
             for eq in eqs:
@@ -267,35 +260,7 @@ def test_criterion_05_pole_order_ledger():
     assert not failures, "pole-order ledger mismatches:\n" + "\n".join(failures)
 
 
-def _chart_inverted_point(upsilon: int, ctx: JetContext, rng: random.Random) -> tuple:
-    """Values of the n-jet of one rational polynomial curve w(t) in the chart
-    inverted through z_upsilon, and of its image z(t) in the original chart:
-    z_i = w_i / w_upsilon for i != upsilon and z_upsilon = 1 / w_upsilon,
-    expanded as power series, so independent of chart_transfer_pairs."""
-    n = ctx.n
-    curve = {
-        i: [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n + 1)]
-        for i in range(1, ctx.nvars + 1)
-    }
-    lead = curve[upsilon]
-    lead[0] = Fraction(rng.randint(2, 9), rng.randint(10, 13))  # neither 0 nor +-1
-    inverse = [1 / lead[0]]
-    for m in range(1, n + 1):
-        inverse.append(-sum(lead[j] * inverse[m - j] for j in range(1, m + 1)) / lead[0])
-    new_vals, old_vals = {}, {}
-    for i, w in curve.items():
-        if i == upsilon:
-            z = inverse
-        else:
-            z = [sum(w[j] * inverse[m - j] for j in range(m + 1)) for m in range(n + 1)]
-        new_vals[coord(i)], old_vals[coord(i)] = w[0], z[0]
-        for lam in range(1, n + 1):
-            new_vals[jet(i, lam)] = math.factorial(lam) * w[lam]
-            old_vals[jet(i, lam)] = math.factorial(lam) * z[lam]
-    return new_vals, old_vals
-
-
-def test_criterion_06_oracle_agreement():
+def test_criterion_06_oracle_agreement(chart_inverted_point):
     start = time.perf_counter()
     rng = random.Random(606)
     for n in (2, 3):  # n = 3 fits comfortably inside the budget
@@ -311,7 +276,7 @@ def test_criterion_06_oracle_agreement():
                     if not b.is_zero():
                         named[f"cramer[{label},a={alpha},k={k}]"] = b
         charts = range(1, ctx.nvars + 1) if n == 2 else (ctx.nvars,)
-        points = {ups: _chart_inverted_point(ups, ctx, rng) for ups in charts}
+        points = {ups: chart_inverted_point(ups, ctx, rng) for ups in charts}
         transported = {}
         for name, p in sorted(named.items()):
             weight = pole_order(p).order

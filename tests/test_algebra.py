@@ -17,6 +17,7 @@ from jetframes.algebra import (
     determinant,
     enumerate_exponents,
     jet,
+    rank_modular,
     rank_rational,
     solve_linear_exact,
     var_name,
@@ -227,6 +228,26 @@ def test_determinant_and_rank_match_sympy_up_to_20x20():
     for nrows, ncols, rank in ((3, 7, 2), (12, 5, 5), (20, 13, 9)):
         m = _random_rational_matrix(rng, nrows, ncols, rank=rank)
         assert rank_rational(m) == _sympy_qq_matrix(m).rank() == rank
+
+
+def test_modular_rank_never_exceeds_rational_rank():
+    rng = random.Random(61)
+    for nrows, ncols in ((1, 1), (3, 7), (7, 3), (9, 9), (14, 20), (25, 12)):
+        for rank in range(0, min(nrows, ncols) + 1, 2):
+            m = _random_rational_matrix(rng, nrows, ncols, rank=rank) if rank else [[0] * ncols] * nrows
+            assert rank_modular(m) <= rank_rational(m) <= rank
+    # rows that differ by a multiple of the modulus: rank 2 over Q, 1 mod p
+    from jetframes.algebra import MODULUS
+
+    m = [[1, 1], [1, 1 + MODULUS]]
+    assert rank_modular(m) == 1 < rank_rational(m) == 2
+
+
+def test_modular_rank_matches_sympy_on_full_rank_matrices():
+    rng = random.Random(62)
+    for nrows, ncols in ((1, 4), (5, 5), (8, 3), (12, 17), (20, 20)):
+        m = _random_rational_matrix(rng, nrows, ncols)
+        assert rank_modular(m) == _sympy_qq_matrix(m).rank() == min(nrows, ncols)
 
 
 def test_solve_identity():

@@ -26,6 +26,7 @@ from jetframes.analysis import (
 )
 from jetframes.frames import (
     FrameField,
+    admissible_coefficient_exponents,
     coefficient_field,
     coordinate_field,
     enumerate_frame,
@@ -105,30 +106,25 @@ def test_oracle_second_jet_transfer_pattern():
     assert num == z1pp * zu ** 2 - z1 * zupp * zu - 2 * z1p * zup * zu + 2 * z1 * zup ** 2
 
 
-def test_oracle_transfer_is_numerically_consistent():
+def test_oracle_transfer_is_numerically_consistent(chart_inverted_point):
     # substituting the transfer pairs must reproduce the inversion chart map
-    # evaluated on actual jets: check against exact curve computations
+    # evaluated on actual jets: the old-chart values come from power-series
+    # division along a curve, not from the pairs under test
     ctx = CTX23
-    ups = 2
-    pairs = chart_transfer_pairs(ups, ctx)
     rng = random.Random(13)
-    new_vals = {}
-    for i in (1, 2, 3):
-        new_vals[coord(i)] = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-        for lam in (1, 2):
-            new_vals[jet(i, lam)] = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-    # old-chart values are num/z_u^e evaluated at the new-chart values
-    old_vals = {
-        v: Fraction(num.evaluate(new_vals)) / new_vals[coord(ups)] ** e
-        for v, (num, e) in pairs.items()
-    }
-    for p in (
+    objects = (
         power_wronskian(1, ctx),
         classical_wronskian(ctx),
         Polynomial.var(jet(3, 2)) * Polynomial.var(coord(1)) + 5,
-    ):
-        num, e = chart_change_oracle(p, ups, ctx)
-        assert Fraction(p.evaluate(old_vals)) == Fraction(num.evaluate(new_vals)) / new_vals[coord(ups)] ** e
+    )
+    for ups in (1, 2, 3):
+        new_vals, old_vals = chart_inverted_point(ups, ctx, rng)
+        zu = new_vals[coord(ups)]
+        for v, (num, e) in chart_transfer_pairs(ups, ctx).items():
+            assert old_vals[v] == num.evaluate(new_vals) / zu ** e, (ups, v)
+        for p in objects:
+            num, e = chart_change_oracle(p, ups, ctx)
+            assert p.evaluate(old_vals) == num.evaluate(new_vals) / zu ** e, (ups, p)
 
 
 def test_oracle_round_trip_involution():
@@ -217,9 +213,7 @@ def test_per_monomial_oracle_equals_weight_on_named_objects():
 
     named = [power_wronskian(1, ctx), classical_wronskian(ctx)]
     for variant, chart in ((VARIANT_POWER, 1), (VARIANT_CLASSICAL, None)):
-        from jetframes.analysis import _admissible_alphas
-
-        for alpha in _admissible_alphas(variant, ctx, chart):
+        for alpha in admissible_coefficient_exponents(variant, ctx, chart):
             named.extend(cramer_coefficients(variant, alpha, ctx, chart).b)
     for p in named:
         if p.is_zero():
@@ -450,3 +444,72 @@ def test_field_vector_alignment():
     vec = field_vector(f, point, ctx)
     assert vec[1] == 1  # the z2 slot of the ambient ordering
     assert len(vec) == ctx.ambient_dimension
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_spanning_certificate_concludes_without_exact_ranks(monkeypatch):
+    import jetframes.analysis as analysis
+
+    calls = _count_calls(monkeypatch, analysis, "rank_rational")
+    results = spanning_check(CTX23, chart=1, trials=3, seed=42)
+    assert calls == []
+    assert all(r.ok and r.jacobian_rank == 3 and r.rank == 25 for r in results)
+
+
+def test_spanning_falls_back_to_exact_rank_when_the_certificate_fails(monkeypatch):
+    import jetframes.analysis as analysis
+
+    ctx = CTX23
+    expected = ctx.ambient_dimension - (ctx.n + 1)
+    reference = [r.to_dict() for r in spanning_check(ctx, chart=1, trials=3, seed=42)]
+    calls = _count_calls(monkeypatch, analysis, "rank_rational")
+    jacobian = ctx.n + 1
+    fakes = (
+        # one short on the frame only: the Jacobian stays certified
+        (lambda m: jacobian if len(m) == jacobian else expected - 1, [28] * 3),
+        # one short everywhere
+        (lambda m: expected - 1, [jacobian, 28] * 3),
+        # short on the Jacobian only: unless rank J = n+1 is proven, expected
+        # bounds nothing, so the frame's rank is taken exactly as well
+        (lambda m: jacobian - 1 if len(m) == jacobian else expected, [jacobian, 28] * 3),
+    )
+    for fake, exact_calls in fakes:
+        calls.clear()
+        monkeypatch.setattr(analysis, "rank_modular", fake)
+        results = spanning_check(ctx, chart=1, trials=3, seed=42)
+        assert calls == exact_calls
+        assert [r.to_dict() for r in results] == reference
+
+
+def test_spanning_reports_exact_rank_with_a_non_tangent_field(monkeypatch):
+    import jetframes.analysis as analysis
+
+    ctx = CTX23
+    bogus = FrameField(
+        kind="coefficient",
+        label="bogus",
+        field=VectorField({ctx.coeff_var((0, 0, 0)): Polynomial.const(1)}),
+    )
+    frame = enumerate_frame(ctx, chart=1)
+    expected = ctx.ambient_dimension - (ctx.n + 1)
+    # a modular rank that claims both bounds: only tangency stops the shortcut
+    monkeypatch.setattr(
+        analysis, "rank_modular", lambda m: ctx.n + 1 if len(m) == ctx.n + 1 else expected
+    )
+    calls = _count_calls(monkeypatch, analysis, "rank_rational")
+    (result,) = spanning_check(ctx, chart=1, trials=1, seed=0, fields=frame + [bogus])
+    assert not result.tangent_ok and result.first_offender == "bogus"
+    assert calls == [29]  # the Jacobian is certified; the field rank is not
+    # d/da_0 leaves ker J, so the exact rank exceeds the tangent dimension
+    assert result.jacobian_rank == 3 and result.rank == result.expected_rank + 1 == 26

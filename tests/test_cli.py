@@ -145,3 +145,11 @@ def test_render_text_marks_failures():
     text = render_text(report)
     assert "[FAIL] demo" in text
     assert "result: FAIL" in text
+
+
+def test_suite_with_no_checked_items_fails(capsys, monkeypatch):
+    monkeypatch.setitem(SUITES, "appendix", lambda cfg: ([], {}))
+    code, report, err = run_json(capsys, ["--n", "2", "--d", "3", "--suites", "appendix"])
+    assert code == 1
+    assert report["ok"] is False and report["suites"][0]["ok"] is False
+    assert "FAIL appendix: no items checked" in err

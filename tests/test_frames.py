@@ -8,6 +8,7 @@ from jetframes.algebra import (
     COEFF,
     MAT,
     Polynomial,
+    VectorField,
     coord,
     jet,
     mat,
@@ -16,10 +17,12 @@ from jetframes.algebra import (
     enumerate_exponents,
 )
 from jetframes.frames import (
+    JetFieldTable,
     admissible_coefficient_exponents,
     canonical_shift_budget,
     coefficient_field,
     coordinate_field,
+    elementary_matrix,
     enumerate_frame,
     jet_field_block,
     jet_linear_field,
@@ -367,3 +370,55 @@ def test_enumerate_frame_every_long_exponent_covered_once():
         if ctx.n + 1 <= mi_total(a) <= ctx.d and a[0] < ctx.d
     ]
     assert len(shifted) == len(expected)
+
+
+def _subs_reference(linear_map, ctx):
+    """The jet-linear field at a numeric matrix, by substituting m(k,l) into
+    every direction of the symbolic field, and the substituted table."""
+    binds = {
+        mat(k, l): Fraction(linear_map[k - 1][l - 1])
+        for k in range(1, ctx.nvars + 1)
+        for l in range(1, ctx.nvars + 1)
+    }
+    symbolic = solve_jet_field_coefficients(ctx)
+    entries = {key: val.subs(binds) for key, val in symbolic.entries.items()}
+    entries = {key: val for key, val in entries.items() if not val.is_zero()}
+    field = jet_linear_field(None, ctx, table=symbolic).field
+    directions = {v: c.subs(binds) for v, c in field.items()}
+    return VectorField(directions), entries, symbolic.top_factor.subs(binds)
+
+
+@pytest.mark.parametrize("ctx", [CTX23, CTX34], ids=["23", "34"])
+def test_jet_linear_fields_from_linearity_match_substitution(ctx):
+    size = ctx.nvars
+    rng = random.Random(size)
+    maps = [elementary_matrix(k, l, size) for k in range(1, size + 1) for l in range(1, size + 1)]
+    maps += [
+        [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)] for _ in range(size)]
+        for _ in range(3)
+    ]
+    framed = [f for f in enumerate_frame(ctx, chart=1) if f.kind == "jet_linear"]
+    assert len(framed) == size * size
+    for i, linear_map in enumerate(maps):
+        ref_field, ref_entries, ref_top = _subs_reference(linear_map, ctx)
+        table = solve_jet_field_coefficients(ctx, linear_map)
+        assert table.entries == ref_entries and table.top_factor == ref_top, i
+        assert jet_linear_field(linear_map, ctx).field == ref_field, i
+        if i < len(framed):  # enumerate_frame builds E_kl's field from its part
+            assert framed[i].field == ref_field, i
+
+
+def test_matrix_parts_reject_a_table_not_linear_in_the_matrix():
+    ctx = CTX23
+    m11, m12 = Polynomial.var(mat(1, 1)), Polynomial.var(mat(1, 2))
+    a = Polynomial.var(ctx.coeff_var((0, 0, 0)))
+    for bad in (m11 * m12, a, m11 * m11, Polynomial.const(1) + m11):
+        table = JetFieldTable(ctx, {((0, 0, 0), (0, 0, 0)): a * m11 + bad}, m12, {})
+        with pytest.raises(ValueError, match="not linear"):
+            table.matrix_parts()
+    good = JetFieldTable(ctx, {((0, 0, 0), (0, 0, 0)): 3 * a * m11 + m12}, m12, {})
+    parts = good.matrix_parts()
+    assert sorted(parts) == [(k, l) for k in (1, 2, 3) for l in (1, 2, 3)]
+    assert parts[(1, 1)].entries == {((0, 0, 0), (0, 0, 0)): 3 * a}
+    assert parts[(2, 1)].entries == {} and parts[(2, 1)].top_factor.is_zero()
+    assert parts[(1, 1)].top_factor.is_zero() and parts[(1, 2)].top_factor == 1

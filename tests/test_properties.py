@@ -1,0 +1,43 @@
+"""Property tests of the polynomial kernel, with hypothesis (test-only)."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from jetframes.algebra import Polynomial, coeff, coord, jet, mat  # noqa: E402
+
+# one variable of every kind a table or an equation can hold
+VARIABLES = (coord(1), coord(2), jet(1, 1), jet(2, 2), coeff((0, 1)), coeff((1, 0)), mat(1, 2))
+
+scalars = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+monomials = st.lists(
+    st.tuples(st.sampled_from(VARIABLES), st.integers(min_value=1, max_value=3)),
+    max_size=4,
+    unique_by=lambda pair: pair[0],
+)
+polynomials = st.lists(st.tuples(monomials, scalars), max_size=8).map(
+    lambda terms: sum((Polynomial.monomial(m, c) for m, c in terms), Polynomial())
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials)
+def test_gradient_equals_every_nonzero_partial(p):
+    expected = {v: p.diff(v) for v in VARIABLES if not p.diff(v).is_zero()}
+    assert p.gradient() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, st.sets(st.sampled_from(VARIABLES)))
+def test_restricted_gradient_keeps_only_the_named_variables(p, subset):
+    assert p.gradient(subset) == {v: d for v, d in p.gradient().items() if v in subset}
+
+
+def test_gradient_normalizes_integral_coefficients():
+    p = Polynomial.var(coord(1), 2, Fraction(1, 2))
+    (d,) = p.gradient().values()
+    assert d == Polynomial.var(coord(1)) and type(d.terms[((coord(1), 1),)]) is int
