@@ -2,7 +2,8 @@
 parameters and emit a human-readable or machine-readable (JSON) report.
 
 Exit status: 0 when every selected suite passes, 1 on any suite failure
-(a suite that checks nothing fails), 2 on usage errors.  JSON goes to stdout, diagnostics to stderr.
+(a suite that checks nothing fails), 2 on usage errors.  JSON goes to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
