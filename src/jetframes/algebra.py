@@ -53,14 +53,6 @@ def phi(k: int) -> Variable:
     return (PHI, k)
 
 
-def var_kind(v: Variable) -> int:
-    return v[0]
-
-
-def coeff_exponent(v: Variable) -> tuple:
-    return v[1:]
-
-
 def var_name(v: Variable) -> str:
     """Deterministic display name, also used in JSON reports."""
     kind = v[0]
@@ -208,11 +200,6 @@ class Polynomial:
             for v, _ in m:
                 out.add(v)
         return out
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
 
     def coefficient(self, mono: Monomial) -> Scalar:
         return self.terms.get(mono, 0)
@@ -514,10 +501,6 @@ def mi_total(alpha: Sequence[int]) -> int:
     return sum(alpha)
 
 
-def mi_add(alpha: Sequence[int], beta: Sequence[int]) -> tuple:
-    return tuple(a + b for a, b in zip(alpha, beta))
-
-
 def mi_sub(alpha: Sequence[int], beta: Sequence[int]) -> tuple:
     out = tuple(a - b for a, b in zip(alpha, beta))
     if any(e < 0 for e in out):
@@ -609,11 +592,23 @@ def _det_cofactor(m) -> Polynomial:
     return total
 
 
-def integer_bareiss(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """(rank, determinant) of an integer matrix by fraction-free elimination
-    (Bareiss 1968) with row and column pivoting; every division is exact.
-    The determinant is 0 unless the matrix is square of full rank."""
+def integer_bareiss(
+    matrix: Sequence[Sequence[int]], rhs: Sequence | None = None
+) -> tuple[int, int, list | None]:
+    """(rank, determinant, solution) of an integer matrix by fraction-free
+    elimination (Bareiss 1968) with row and column pivoting; every division
+    of a matrix entry is exact.  The determinant is 0 unless the matrix is
+    square of full rank.
+
+    Without rhs the solution is None.  With rhs (one scalar or polynomial per
+    row), the right sides go through the same row operations, their division
+    by the previous pivot being multiplication by its inverse, which is exact
+    over Q; the solution of matrix * x = rhs is then read off by back
+    substitution.  InconsistentSystem is raised when a right side survives on
+    a row that reduced to zero, and UnderdeterminedSystem, after it, when the
+    rank is below the number of unknowns."""
     rows = [list(row) for row in matrix]
+    b = None if rhs is None else [_as_poly(x) for x in rhs]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     sign = 1
@@ -629,8 +624,10 @@ def integer_bareiss(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
         i, j = pivot_at
         if i != r:
             rows[r], rows[i] = rows[i], rows[r]
+            if b is not None:
+                b[r], b[i] = b[i], b[r]
             sign = -sign
-        if j != r:  # column r is zero from row r down: a square matrix is singular
+        if j != r:  # column r is zero from row r down: the matrix has rank < ncols
             for row in rows:
                 row[r], row[j] = row[j], row[r]
         top = rows[r]
@@ -640,23 +637,40 @@ def integer_bareiss(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
             f = row[r]
             row[r + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[r + 1:], top[r + 1:])]
             row[r] = 0
+            if b is not None:
+                b[i] = (b[i] * pivot - b[r] * f) * Fraction(1, prev)
         prev = pivot
         rank += 1
     det = sign * prev if rank == nrows == ncols else 0
-    return rank, det
+    if b is None:
+        return rank, det, None
+    for r in range(rank, nrows):
+        if not b[r].is_zero():
+            raise InconsistentSystem(f"row {r} reduces to 0 = {b[r].to_text()}")
+    if rank < ncols:
+        raise UnderdeterminedSystem(f"rank {rank} < {ncols} unknowns: solution not unique")
+    # rank == ncols, so no column was swapped: row r has its pivot in column r
+    x: list = [ZERO] * ncols
+    for r in range(ncols - 1, -1, -1):
+        acc = b[r]
+        for j in range(r + 1, ncols):
+            if rows[r][j]:
+                acc = acc - x[j] * rows[r][j]
+        x[r] = acc * Fraction(1, rows[r][r])
+    return rank, det, x
 
 
-def _integer_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """Rows scaled to integers by the lcm of their denominators, with the
-    product of those scales (the factor the determinant is multiplied by)."""
+def _integer_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Rows scaled to integers, each by the lcm of its denominators, with
+    those scales (the determinant is multiplied by their product)."""
     rows = []
-    scale = 1
+    scales = []
     for row in matrix:
         fr = [x if isinstance(x, (int, Fraction)) else _to_fraction(x) for x in row]
         lcm = math.lcm(*(f.denominator for f in fr))
         rows.append([f.numerator * (lcm // f.denominator) for f in fr])
-        scale *= lcm
-    return rows, scale
+        scales.append(lcm)
+    return rows, scales
 
 
 def _det_laplace(m) -> Polynomial:
@@ -696,8 +710,8 @@ def determinant(matrix: Sequence[Sequence]) -> Polynomial:
     rows = [[_as_poly(x) for x in row] for row in matrix]
     _require_square(rows)
     if all(x.is_constant() for row in rows for x in row):
-        ints, scale = _integer_rows(rows)
-        return Polynomial.const(Fraction(integer_bareiss(ints)[1]) / scale)
+        ints, scales = _integer_rows(rows)
+        return Polynomial.const(Fraction(integer_bareiss(ints)[1], math.prod(scales)))
     return _det_laplace(rows)
 
 
@@ -711,53 +725,20 @@ def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence):
     """Solve A x = b exactly over the rationals.
 
     Matrix entries must be rational scalars (constant polynomials accepted);
-    right-hand entries may be scalars or polynomials.  Raises
-    InconsistentSystem / UnderdeterminedSystem instead of approximating.
+    right-hand entries may be scalars or polynomials.  Each row and its right
+    side are scaled to integers, then one integer Bareiss elimination carries
+    both.  Raises InconsistentSystem / UnderdeterminedSystem instead of
+    approximating.
     """
     a = [[_to_fraction(x) for x in row] for row in matrix]
     b = [_as_poly(x) for x in rhs]
-    nrows = len(a)
-    if nrows != len(b):
+    if len(a) != len(b):
         raise ValueError("matrix/rhs size mismatch")
-    ncols = len(a[0]) if nrows else 0
+    ncols = len(a[0]) if a else 0
     if any(len(row) != ncols for row in a):
         raise ValueError("ragged matrix")
-
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        p = None
-        for r in range(row, nrows):
-            if a[r][col] != 0:
-                p = r
-                break
-        if p is None:
-            continue
-        a[row], a[p] = a[p], a[row]
-        b[row], b[p] = b[p], b[row]
-        inv = Fraction(1, 1) / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        b[row] = b[row] * inv
-        for r in range(nrows):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-                b[r] = b[r] - f * b[row]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if not b[r].is_zero():
-            raise InconsistentSystem(f"row {r} reduces to 0 = {b[r].to_text()}")
-    if len(pivots) < ncols:
-        raise UnderdeterminedSystem(
-            f"rank {len(pivots)} < {ncols} unknowns: solution not unique"
-        )
-    x: list[Polynomial] = [ZERO] * ncols
-    for r, c in pivots:
-        x[c] = b[r]
-    return x
+    ints, scales = _integer_rows(a)
+    return integer_bareiss(ints, [x * s for x, s in zip(b, scales)])[2]
 
 
 def _to_fraction(x) -> Fraction:

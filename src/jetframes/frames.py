@@ -25,15 +25,14 @@ from .algebra import (
     VectorField,
     binomial_product,
     coord,
-    determinant,
     enumerate_exponents,
     falling_factorial,
+    integer_bareiss,
     jet,
     mat,
     mi_leq,
     mi_sub,
     mi_total,
-    solve_linear_exact,
     unit_index,
 )
 from .jetspace import JetContext
@@ -41,6 +40,7 @@ from .wronskian import (
     VARIANT_POWER,
     cramer_coefficients,
     excluded_exponents,
+    solved_exponents,
 )
 
 
@@ -66,14 +66,8 @@ def coefficient_field(
     alpha = tuple(alpha)
     coeffs = cramer_coefficients(variant, alpha, ctx, chart)
     directions = {ctx.coeff_var(alpha): coeffs.scale}
-    zero_alpha = (0,) * ctx.nvars
-    solved = [zero_alpha]
-    if variant == VARIANT_POWER:
-        solved += [tuple(k * e for e in unit_index(ctx.nvars, chart)) for k in range(1, ctx.n + 1)]
-        label = f"coeff[v1,chart={chart},a={alpha}]"
-    else:
-        solved += [unit_index(ctx.nvars, k) for k in range(1, ctx.n + 1)]
-        label = f"coeff[v2,a={alpha}]"
+    solved = [(0,) * ctx.nvars, *solved_exponents(variant, ctx, chart)]
+    label = f"coeff[v1,chart={chart},a={alpha}]" if variant == VARIANT_POWER else f"coeff[v2,a={alpha}]"
     for slot, bk in zip(solved, coeffs.b):
         directions[ctx.coeff_var(slot)] = directions.get(ctx.coeff_var(slot), Polynomial.zero()) - bk
     return FrameField(kind="coefficient", label=label, field=VectorField(directions))
@@ -362,9 +356,7 @@ def _solve_symbolic_table(ctx: JetContext) -> JetFieldTable:
             raise RuntimeError(
                 f"block {rho}: {len(rows)} equations for {len(unknowns)} unknowns"
             )
-        det = determinant([[Fraction(x) for x in row] for row in rows]).constant_value()
-        block_dets[rho] = det
-        solution = solve_linear_exact(rows, rhs)
+        _, block_dets[rho], solution = integer_bareiss(rows, rhs)
         for beta, val in zip(unknowns, solution):
             alpha = mi_sub(rho, beta)
             if not val.is_zero():

@@ -162,6 +162,18 @@ def iterated_total_derivative(p: Polynomial, order: int, ctx: JetContext) -> Pol
     return p
 
 
+def power_chain(ctx: JetContext, chart: int) -> tuple:
+    """The exponents k * e_chart, k = 1..n: the coefficient slots besides the
+    constant one that the power chart solves for."""
+    return tuple(tuple(k * e for e in unit_index(ctx.nvars, chart)) for k in range(1, ctx.n + 1))
+
+
+@lru_cache(maxsize=None)
+def power_jet_entry(ctx: JetContext, i: int, k: int, kappa: int) -> Polynomial:
+    """D^kappa(z_i^k), the (kappa, k) entry of the power-Wronskian matrix."""
+    return iterated_total_derivative(Polynomial.var(coord(i)) ** k, kappa, ctx)
+
+
 @lru_cache(maxsize=None)
 def universal_polynomial(ctx: JetContext) -> Polynomial:
     """z_1^d + sum of a_alpha z^alpha over all coefficient slots."""
@@ -329,7 +341,7 @@ def sample_vertical_jet(
         assignment[v] = random_rational(rng)
     assignment[jet(chart, 1)] = random_rational(rng, nonzero=True)
 
-    solved = [tuple(k * e for e in unit_index(ctx.nvars, chart)) for k in range(1, ctx.n + 1)]
+    solved = power_chain(ctx, chart)
     zero_alpha = (0,) * ctx.nvars
     for alpha in ctx.coeff_exponents:
         if alpha != zero_alpha and alpha not in solved:
@@ -341,15 +353,8 @@ def sample_vertical_jet(
     partial[ctx.coeff_var(zero_alpha)] = Fraction(0)
     for alpha in solved:
         partial[ctx.coeff_var(alpha)] = Fraction(0)
-    power_polys = {
-        (k, kap): iterated_total_derivative(
-            Polynomial.var(coord(chart)) ** k, kap, ctx
-        )
-        for k in range(1, ctx.n + 1)
-        for kap in range(1, ctx.n + 1)
-    }
     matrix = [
-        [power_polys[(k, kap)].evaluate(partial) for k in range(1, ctx.n + 1)]
+        [power_jet_entry(ctx, chart, k, kap).evaluate(partial) for k in range(1, ctx.n + 1)]
         for kap in range(1, ctx.n + 1)
     ]
     rhs = [-Fraction(eqs[kap].evaluate(partial)) for kap in range(1, ctx.n + 1)]

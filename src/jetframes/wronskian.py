@@ -23,13 +23,7 @@ from .algebra import (
     mi_total,
     unit_index,
 )
-from .jetspace import JetContext, iterated_total_derivative
-
-
-@lru_cache(maxsize=None)
-def power_jet_entry(ctx: JetContext, i: int, k: int, kappa: int) -> Polynomial:
-    """D^kappa(z_i^k), the (kappa, k) entry of the power-Wronskian matrix."""
-    return iterated_total_derivative(Polynomial.var(coord(i)) ** k, kappa, ctx)
+from .jetspace import JetContext, iterated_total_derivative, power_chain, power_jet_entry
 
 
 def power_jet_matrix(i: int, ctx: JetContext) -> list:
@@ -85,9 +79,7 @@ def solved_exponents(variant: int, ctx: JetContext, chart: int | None = None) ->
     if variant == VARIANT_POWER:
         if chart is None:
             raise ValueError("variant 1 requires a chart index")
-        return tuple(
-            tuple(k * e for e in unit_index(ctx.nvars, chart)) for k in range(1, ctx.n + 1)
-        )
+        return power_chain(ctx, chart)
     if variant == VARIANT_CLASSICAL:
         return tuple(unit_index(ctx.nvars, k) for k in range(1, ctx.n + 1))
     raise ValueError(f"unknown variant {variant}")

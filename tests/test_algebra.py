@@ -293,6 +293,89 @@ def test_solve_underdetermined():
         solve_linear_exact([[1, 1], [2, 2]], [1, 2])
 
 
+def test_solve_rejects_malformed_input():
+    with pytest.raises(ValueError):
+        solve_linear_exact([[1, 0], [0, 1]], [1])
+    with pytest.raises(ValueError):
+        solve_linear_exact([[1, 0], [0]], [1, 2])
+    # a singular system with no solution is inconsistent, not underdetermined
+    with pytest.raises(InconsistentSystem):
+        solve_linear_exact([[1, 1, 0], [2, 2, 0], [0, 0, 0]], [1, 3, 0])
+
+
+def _sparse_rational_matrix(rng, size):
+    """Square, one nonzero entry per row at a shuffled column and about a
+    third of the others nonzero, so that the elimination swaps rows and meets
+    zero entries below its pivots."""
+    columns = rng.sample(range(size), size)
+    return [
+        [Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 3))
+         if j == columns[i] or rng.random() < 0.35 else Fraction(0) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def _matrix_times(a, x):
+    return [sum((c * xi for c, xi in zip(row, x)), Polynomial()) for row in a]
+
+
+def test_solve_matches_sympy_up_to_20x20():
+    rng = random.Random(37)
+    for size in (1, 2, 3, 5, 9, 14, 20):
+        for a in (_random_rational_matrix(rng, size, size), _sparse_rational_matrix(rng, size)):
+            b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(size)]
+            reference = _sympy_qq_matrix(a)
+            assert reference.rank() == size
+            expected = reference.lu_solve(_sympy_qq_matrix([[bi] for bi in b])).to_list()
+            x = solve_linear_exact(a, b)
+            assert [xi.constant_value() for xi in x] == [
+                Fraction(int(e.numerator), int(e.denominator)) for (e,) in expected
+            ]
+
+
+def test_solve_tall_inconsistent_and_singular_systems():
+    rng = random.Random(47)
+    # tall and consistent: 12 equations, 7 unknowns of full column rank
+    a = _random_rational_matrix(rng, 12, 7)
+    assert _sympy_qq_matrix(a).rank() == 7
+    x0 = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(7)]
+    b = [sum(c * xi for c, xi in zip(row, x0)) for row in a]
+    assert [xi.constant_value() for xi in solve_linear_exact(a, b)] == x0
+    # the same system with one right side moved has no solution
+    b[5] += 1
+    assert _sympy_qq_matrix([row + [bi] for row, bi in zip(a, b)]).rank() == 8
+    with pytest.raises(InconsistentSystem):
+        solve_linear_exact(a, b)
+    # singular square systems: consistent right sides leave the solution
+    # open, others have none, and inconsistency is reported first
+    sparse = _sparse_rational_matrix(rng, 14)
+    sparse[3] = [x + 2 * y for x, y in zip(sparse[7], sparse[11])]
+    for a in (_random_rational_matrix(rng, 9, 9, rank=6), sparse):
+        rank = _sympy_qq_matrix(a).rank()
+        assert rank < len(a)
+        x0 = [Fraction(rng.randint(-9, 9)) for _ in a]
+        b = [sum(c * xi for c, xi in zip(row, x0)) for row in a]
+        with pytest.raises(UnderdeterminedSystem):
+            solve_linear_exact(a, b)
+        b = [bi + rng.randint(1, 5) for bi in b]
+        assert _sympy_qq_matrix([row + [bi] for row, bi in zip(a, b)]).rank() == rank + 1
+        with pytest.raises(InconsistentSystem):
+            solve_linear_exact(a, b)
+
+
+def test_solve_polynomial_right_sides():
+    rng = random.Random(53)
+    for size in (1, 2, 4, 6, 8):
+        for a in (_random_rational_matrix(rng, size, size), _sparse_rational_matrix(rng, size)):
+            b = [rand_poly(rng, nterms=rng.randint(0, 4)) for _ in range(size)]
+            x = solve_linear_exact(a, b)
+            assert _matrix_times(a, x) == b
+    # constant-polynomial matrix entries, and a right side needing a row swap
+    a = [[Polynomial.const(0), Polynomial.const(2)], [Polynomial.const(Fraction(1, 3)), one]]
+    x = solve_linear_exact(a, [z1, z2 * z1])
+    assert x == [3 * z2 * z1 - Fraction(3, 2) * z1, Fraction(1, 2) * z1]
+
+
 def test_ring_axioms_on_random_triples():
     rng = random.Random(41)
     for _ in range(12):

@@ -264,6 +264,23 @@ def test_jet_block_determinants_match_sympy():
         assert det == int(block.det()), rho
 
 
+def test_jet_field_table_eliminates_each_block_once(monkeypatch):
+    # the block determinants come out of the elimination that solves the
+    # block, so the table builds with determinant() unavailable
+    from jetframes import algebra, frames
+
+    def refuse(matrix):
+        raise AssertionError("determinant() called while building the table")
+
+    monkeypatch.setattr(algebra, "determinant", refuse)
+    monkeypatch.setattr(frames, "determinant", refuse, raising=False)
+    fresh = frames._solve_symbolic_table.__wrapped__(CTX34)
+    cached = solve_jet_field_coefficients(CTX34)
+    assert fresh.entries == cached.entries
+    assert fresh.top_factor == cached.top_factor
+    assert fresh.block_dets == cached.block_dets
+
+
 def test_jet_block_determinants_nonzero_at_35():
     # 126 integer blocks up to 19 x 19: out of reach of cofactor expansion
     ctx = JetContext(3, 5)

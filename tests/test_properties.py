@@ -8,7 +8,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from jetframes.algebra import Polynomial, coeff, coord, jet, mat  # noqa: E402
+from jetframes.algebra import (  # noqa: E402
+    Polynomial,
+    coeff,
+    coord,
+    det_cofactor,
+    jet,
+    mat,
+    solve_linear_exact,
+)
 
 # one variable of every kind a table or an equation can hold
 VARIABLES = (coord(1), coord(2), jet(1, 1), jet(2, 2), coeff((0, 1)), coeff((1, 0)), mat(1, 2))
@@ -41,3 +49,28 @@ def test_gradient_normalizes_integral_coefficients():
     p = Polynomial.var(coord(1), 2, Fraction(1, 2))
     (d,) = p.gradient().values()
     assert d == Polynomial.var(coord(1)) and type(d.terms[((coord(1), 1),)]) is int
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, polynomials.filter(lambda q: not q.is_zero()))
+def test_exact_division_undoes_multiplication(p, q):
+    assert (p * q).exact_div(q) == p
+
+
+@st.composite
+def square_systems(draw):
+    """A nonsingular integer matrix (checked by cofactor expansion, the
+    reference) with one polynomial right side per row."""
+    size = draw(st.integers(min_value=1, max_value=5))
+    entries = st.integers(min_value=-9, max_value=9)
+    a = draw(st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size))
+    hypothesis.assume(not det_cofactor(a).is_zero())
+    return a, draw(st.lists(polynomials, min_size=size, max_size=size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_solution_satisfies_the_system(system):
+    a, b = system
+    x = solve_linear_exact(a, b)
+    assert [sum((c * xi for c, xi in zip(row, x)), Polynomial()) for row in a] == b
