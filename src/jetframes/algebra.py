@@ -309,13 +309,13 @@ class Polynomial:
         p.terms = {m: _norm_scalar(c) for m, c in out.items()}
         return p
 
-    def gradient(self, variables=None) -> dict:
-        """Every nonzero partial derivative, {v: self.diff(v)}, from one pass
-        over the terms; restricted to v in variables when that is given."""
+    def gradient(self, variables) -> dict:
+        """Every nonzero partial derivative {v: self.diff(v)} with v in
+        variables, from one pass over the terms."""
         parts: dict = {}
         for m, c in self.terms.items():
             for idx, (v, e) in enumerate(m):
-                if variables is not None and v not in variables:
+                if v not in variables:
                     continue
                 nm = m[:idx] + m[idx + 1:] if e == 1 else m[:idx] + ((v, e - 1),) + m[idx + 1:]
                 # m -> m / v is injective, so no two terms of one partial collide

@@ -34,6 +34,7 @@ from .algebra import (
     rank_modular,
     rank_rational,
     solve_linear_exact,
+    unit_index,
     var_name,
 )
 from .frames import FrameField, admissible_coefficient_exponents, enumerate_frame
@@ -42,6 +43,8 @@ from .jetspace import (
     JetPoint,
     first_jets_all_zero,
     jacobian_matrix_at,
+    monomial_series,
+    power_chain,
     sample_vertical_jet,
     total_derivative,
 )
@@ -204,41 +207,13 @@ class PoleTableReport:
 def _integer_curve_columns(ctx: JetContext, rng: random.Random):
     """Jet of a random integer polynomial curve, as truncated power series
     coefficients c_m = value^(m)/m! for each coordinate; exact and fast."""
-    series = {}
-    for i in range(1, ctx.nvars + 1):
-        series[i] = [rng.randint(-9, 9) for _ in range(ctx.n + 1)]
-        if series[i][1] == 0:
-            series[i][1] = 1
-    return series
-
-
-def _series_mul(a, b, order):
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if i + j > order:
-                    break
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _series_pow(base, e, order):
-    out = [1] + [0] * order
-    for _ in range(e):
-        out = _series_mul(out, base, order)
-    return out
-
-
-def _derivative_column_values(alpha, series, n):
-    """[kappa! * coefficient of t^kappa in prod z_i(t)^alpha_i] for kappa=1..n:
-    the values of the total-derivative column along the curve."""
-    prod = [1] + [0] * n
-    for i, e in enumerate(alpha, start=1):
-        if e:
-            prod = _series_mul(prod, _series_pow(series[i], e, n), n)
-    return [prod[kappa] * math.factorial(kappa) for kappa in range(1, n + 1)]
+    curve = []
+    for _ in range(ctx.nvars):
+        coeffs = [rng.randint(-9, 9) for _ in range(ctx.n + 1)]
+        if coeffs[1] == 0:
+            coeffs[1] = 1
+        curve.append(coeffs)
+    return curve
 
 
 def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345) -> PoleTableReport:
@@ -268,64 +243,49 @@ def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345)
     alternate = (n + 1) * (n + 2) // 2
 
     expand = n <= expand_limit
-    series = _integer_curve_columns(ctx, rng)
-    power_cols = {
-        k: _derivative_column_values(tuple(k if j == 0 else 0 for j in range(ctx.nvars)), series, n)
-        for k in range(1, n + 1)
-    }
-    unit_cols = {
-        k: _derivative_column_values(tuple(1 if j == k - 1 else 0 for j in range(ctx.nvars)), series, n)
-        for k in range(1, n + 1)
-    }
+    series = monomial_series(_integer_curve_columns(ctx, rng), ctx)
+
+    def column(alpha):
+        """D^kappa(z^alpha) along the curve, kappa = 1..n."""
+        return [math.factorial(kappa) * series[alpha][kappa] for kappa in range(1, n + 1)]
 
     for variant, label in ((VARIANT_POWER, "v1"), (VARIANT_CLASSICAL, "v2")):
         chart = 1 if variant == VARIANT_POWER else None
-        base_cols = power_cols if variant == VARIANT_POWER else unit_cols
         if variant == VARIANT_POWER:
+            base_alphas = power_chain(ctx, 1)
             col_weight = {k: k for k in range(1, n + 1)}
             base_order = n * n + n  # sum of row weights + column weights
         else:
+            base_alphas = tuple(unit_index(ctx.nvars, k) for k in range(1, n + 1))
             col_weight = {k: 1 for k in range(1, n + 1)}
             base_order = n * (n + 1) // 2 + n
+        base_cols = [column(beta) for beta in base_alphas]
+        row0 = [series[beta][0] for beta in base_alphas]
+        scale_val = integer_bareiss([[col[r] for col in base_cols] for r in range(n)])[1]
         for alpha in admissible_coefficient_exponents(variant, ctx, chart):
             la = mi_total(alpha)
-            alpha_col = _derivative_column_values(alpha, series, n)
+            alpha_col = column(alpha)
             b_values = []
             for k in range(1, n + 1):
                 matrix = [
-                    [alpha_col[r] if c == k - 1 else base_cols[c + 1][r] for c in range(n)]
+                    [alpha_col[r] if c == k - 1 else base_cols[c][r] for c in range(n)]
                     for r in range(n)
                 ]
                 b_values.append(integer_bareiss(matrix)[1])
             claimed = {k: la + base_order - col_weight[k] for k in range(1, n + 1)}
             claimed[0] = la + base_order
-            if variant == VARIANT_POWER:
-                row0 = [series[1][0] ** k for k in range(1, n + 1)]
-            else:
-                row0 = [series[k][0] for k in range(1, n + 1)]
-            scale_val = integer_bareiss([[base_cols[c + 1][r] for c in range(n)] for r in range(n)])[1]
-            alpha_val = 1
-            for i, e in enumerate(alpha, start=1):
-                alpha_val *= series[i][0] ** e
-            b0_value = scale_val * alpha_val - sum(bv * rv for bv, rv in zip(b_values, row0))
+            b0_value = scale_val * series[alpha][0] - sum(bv * rv for bv, rv in zip(b_values, row0))
             values = {0: b0_value, **{k: b_values[k - 1] for k in range(1, n + 1)}}
             for k in range(n + 1):
                 name = f"cramer[{label},a={alpha},k={k}]"
-                if expand:
+                if not expand and values[k] != 0:
+                    rows.append(PoleRow(name, claimed[k], claimed[k], True, True, "structural"))
+                else:
                     coeffs = cramer_coefficients(variant, alpha, ctx, chart)
                     pk = pole_order(coeffs.b[k])
                     rows.append(
                         PoleRow(name, claimed[k], pk.order, pk.uniform, pk.order == claimed[k], "expanded")
                     )
-                else:
-                    if values[k] != 0:
-                        rows.append(PoleRow(name, claimed[k], claimed[k], True, True, "structural"))
-                    else:
-                        coeffs = cramer_coefficients(variant, alpha, ctx, chart)
-                        pk = pole_order(coeffs.b[k])
-                        rows.append(
-                            PoleRow(name, claimed[k], pk.order, pk.uniform, pk.order == claimed[k], "expanded")
-                        )
 
     c_power = max(r.computed for r in rows if r.name.startswith("cramer[v1"))
     c_classical = max(r.computed for r in rows if r.name.startswith("cramer[v2"))

@@ -1,6 +1,8 @@
 """Variable universe for parameters (n, d), the total differentiation
 operator, the n+1 defining equations of the vertical jet space in the affine
-chart (built by two independent routes), and certified sample points.
+chart (built by two independent routes), and certified sample points.  The
+values of the equations and of their derivatives at a point are read off
+truncated power series along the curve germ whose n-jet the point is.
 
 Conventions: coordinates z_1..z_{n+1}; hypersurface coefficients a_alpha for
 |alpha| <= d excluding the normalized slot alpha = (d,0,...,0), which is the
@@ -307,11 +309,46 @@ class JetPoint:
     def value(self, v: Variable) -> Fraction:
         return self.assignment[v]
 
+    def curve(self, ctx: JetContext) -> list:
+        """The curve germ whose n-jet the point is: one truncated series
+        [z_i, z_i'/1!, ..., z_i^(n)/n!] per coordinate."""
+        return [
+            [self.value(coord(i))]
+            + [Fraction(self.value(jet(i, lam)), math.factorial(lam)) for lam in range(1, ctx.n + 1)]
+            for i in range(1, ctx.nvars + 1)
+        ]
+
     def to_json(self) -> str:
         data = {var_name(v): str(Fraction(val)) for v, val in sorted(self.assignment.items())}
         if self.chart is not None:
             data["_chart"] = str(self.chart)
         return json.dumps(data, sort_keys=True)
+
+
+def _series_mul(a, b, order):
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if i + j > order:
+                    break
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def monomial_series(curve: Sequence[Sequence], ctx: JetContext) -> dict:
+    """{alpha: z(t)^alpha mod t^(n+1)} for every |alpha| <= d, along the curve
+    z_i(t) = sum_m curve[i-1][m] t^m.  Every pointwise value of D^kappa(z^alpha)
+    is kappa! times a coefficient of these series.  Each alpha is its parent
+    alpha - e_j (j its first nonzero slot) times z_j(t)."""
+    zero, *rest = enumerate_exponents(ctx.nvars, ctx.d)  # graded: parents come first
+    series = {zero: [1] + [0] * ctx.n}
+    for alpha in rest:
+        j = next(i for i, e in enumerate(alpha) if e)
+        parent = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+        series[alpha] = _series_mul(series[parent], curve[j], ctx.n)
+    return series
 
 
 def random_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
@@ -341,33 +378,34 @@ def sample_vertical_jet(
         assignment[v] = random_rational(rng)
     assignment[jet(chart, 1)] = random_rational(rng, nonzero=True)
 
+    point = JetPoint(assignment=assignment, chart=chart)
+    series = monomial_series(point.curve(ctx), ctx)
+    # E_kappa = kappa! [t^kappa] sum_alpha a_alpha z(t)^alpha: a_0 enters E_0
+    # only, and the last n equations are linear in the solved chain
     solved = power_chain(ctx, chart)
     zero_alpha = (0,) * ctx.nvars
+    known = series[ctx.normalized_exponent]
     for alpha in ctx.coeff_exponents:
         if alpha != zero_alpha and alpha not in solved:
-            assignment[ctx.coeff_var(alpha)] = random_rational(rng)
-
-    eqs = defining_equations_iterated(ctx)
-    # last n equations are linear in the solved chain with the power-jet matrix
-    partial = dict(assignment)
-    partial[ctx.coeff_var(zero_alpha)] = Fraction(0)
-    for alpha in solved:
-        partial[ctx.coeff_var(alpha)] = Fraction(0)
+            a = assignment[ctx.coeff_var(alpha)] = random_rational(rng)
+            known = [x + a * s for x, s in zip(known, series[alpha])]
     matrix = [
-        [power_jet_entry(ctx, chart, k, kap).evaluate(partial) for k in range(1, ctx.n + 1)]
+        [math.factorial(kap) * series[alpha][kap] for alpha in solved]
         for kap in range(1, ctx.n + 1)
     ]
-    rhs = [-Fraction(eqs[kap].evaluate(partial)) for kap in range(1, ctx.n + 1)]
+    rhs = [-math.factorial(kap) * known[kap] for kap in range(1, ctx.n + 1)]
     solution = solve_linear_exact(matrix, rhs)
     for alpha, val in zip(solved, solution):
-        assignment[ctx.coeff_var(alpha)] = Fraction(val.constant_value())
-    partial.update({ctx.coeff_var(a): assignment[ctx.coeff_var(a)] for a in solved})
-    assignment[ctx.coeff_var(zero_alpha)] = -Fraction(eqs[0].evaluate(partial))
+        a = assignment[ctx.coeff_var(alpha)] = Fraction(val.constant_value())
+        known = [x + a * s for x, s in zip(known, series[alpha])]
+    assignment[ctx.coeff_var(zero_alpha)] = -Fraction(known[0])
 
-    point = JetPoint(assignment=assignment, chart=chart)
+    eqs = defining_equations_iterated(ctx)
     residues = [eqs[kap].evaluate(assignment) for kap in range(ctx.n + 1)]
     if any(r != 0 for r in residues):
-        raise RuntimeError(f"sampled point fails certification: residues {residues}")
+        raise RuntimeError(
+            f"sampled point fails certification: residues {residues} at {point.to_json()}"
+        )
     return point
 
 
@@ -390,20 +428,34 @@ def wronskians_all_zero(point: JetPoint, ctx: JetContext) -> bool:
     return jet_matrix_rank(point, ctx) < ctx.n
 
 
-@lru_cache(maxsize=None)
-def equation_gradients(ctx: JetContext) -> tuple:
-    """The symbolic gradient {v: dE/dv} of each defining equation, computed
-    once per context."""
-    return tuple(eq.gradient() for eq in defining_equations_iterated(ctx))
-
-
 def jacobian_matrix_at(point: JetPoint, ctx: JetContext):
-    """The (n+1) x ambient Jacobian of the defining equations at the point."""
-    zero = Fraction(0)
+    """The (n+1) x ambient Jacobian of the defining equations at the point,
+    read off the monomial series along its curve germ: dE_kappa/da_alpha is
+    kappa! [t^kappa] z(t)^alpha.  By the commutation rule
+    d(D^kappa f)/dz^(lam) = C(kappa, lam) D^(kappa-lam)(df/dz), with z^(0) = z,
+    dE_kappa/dz_i^(lam) is C(kappa, lam) (kappa-lam)! [t^(kappa-lam)] G_i for
+    lam <= kappa and 0 above, where G_i = sum_alpha a_alpha alpha_i z(t)^(alpha - e_i)."""
+    n = ctx.n
+    series = monomial_series(point.curve(ctx), ctx)
+    coeffs = {alpha: point.value(ctx.coeff_var(alpha)) for alpha in ctx.coeff_exponents}
+    coeffs[ctx.normalized_exponent] = 1
+    grads = [[0] * (n + 1) for _ in range(ctx.nvars)]
+    for alpha, a in coeffs.items():
+        for i, e in enumerate(alpha):
+            if e and a:
+                parent = alpha[:i] + (e - 1,) + alpha[i + 1:]
+                grads[i] = [x + e * a * s for x, s in zip(grads[i], series[parent])]
+
+    def jet_entry(kappa, lam, i):
+        if lam > kappa:
+            return 0
+        return math.comb(kappa, lam) * math.factorial(kappa - lam) * grads[i][kappa - lam]
+
     return [
-        [Fraction(grad[v].evaluate(point.assignment)) if v in grad else zero
-         for v in ctx.ambient_variables]
-        for grad in equation_gradients(ctx)
+        [jet_entry(kappa, 0, i) for i in range(ctx.nvars)]
+        + [math.factorial(kappa) * series[alpha][kappa] for alpha in ctx.coeff_exponents]
+        + [jet_entry(kappa, lam, i) for lam in range(1, n + 1) for i in range(ctx.nvars)]
+        for kappa in range(n + 1)
     ]
 
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 import pytest
 
+from jetframes import jetspace
 from jetframes.algebra import JET, Polynomial, coord, jet
 from jetframes.jetspace import (
     JetContext,
@@ -10,9 +11,12 @@ from jetframes.jetspace import (
     defining_equations_partition_sum,
     first_jets_all_zero,
     iterated_total_derivative,
+    jacobian_matrix_at,
     jacobian_rank_at,
+    jet_matrix_rank,
     jet_weight_partitions,
     partition_coefficient,
+    random_rational,
     sample_vertical_jet,
     total_derivative,
     universal_polynomial,
@@ -334,3 +338,65 @@ def test_universal_polynomial_shape():
     p = universal_polynomial(CTX23)
     assert len(p.terms) == 20  # z1^3 plus 19 coefficient slots
     assert p.coefficient(((coord(1), 3),)) == 1
+
+
+def _symbolic_jacobian(ctx):
+    """Reference Jacobian: the partial derivatives of the symbolic equations,
+    evaluated wherever the returned function is called."""
+    grads = [[eq.diff(v) for v in ctx.ambient_variables] for eq in defining_equations_iterated(ctx)]
+    return lambda point: [[g.evaluate(point.assignment) for g in row] for row in grads]
+
+
+def _random_point(ctx, rng, jets=None):
+    """Random values for every ambient variable: off the variety, almost surely."""
+    assignment = {v: random_rational(rng) for v in ctx.ambient_variables}
+    assignment.update(jets or {})
+    return JetPoint(assignment=assignment)
+
+
+@pytest.mark.parametrize("ctx", [CTX23, CTX34], ids=["n2d3", "n3d4"])
+def test_series_jacobian_equals_symbolic_on_sampled_points(ctx):
+    reference = _symbolic_jacobian(ctx)
+    for chart in range(1, ctx.nvars + 1):
+        for seed in (0, 1, 2):
+            point = sample_vertical_jet(ctx, chart, rng=seed)
+            assert jacobian_matrix_at(point, ctx) == reference(point), (chart, seed)
+
+
+@pytest.mark.parametrize("ctx", [CTX23, CTX34], ids=["n2d3", "n3d4"])
+def test_series_jacobian_equals_symbolic_off_the_variety(ctx):
+    # the commutation rule is an identity of polynomials, so it holds at any point
+    reference = _symbolic_jacobian(ctx)
+    rng = random.Random(5)
+    for _ in range(3):
+        point = _random_point(ctx, rng)
+        assert any(eq.evaluate(point.assignment) for eq in defining_equations_iterated(ctx))
+        assert jacobian_matrix_at(point, ctx) == reference(point)
+
+
+def test_series_jacobian_equals_symbolic_where_the_jet_matrix_has_rank_one():
+    # z_i^(lam) = u_i * v_lam: first jets not all zero, yet every Wronskian vanishes
+    ctx = CTX34
+    rng = random.Random(8)
+    u = [random_rational(rng, nonzero=True) for _ in range(ctx.nvars)]
+    v = [random_rational(rng, nonzero=True) for _ in range(ctx.n)]
+    jets = {
+        jet(i, lam): u[i - 1] * v[lam - 1]
+        for i in range(1, ctx.nvars + 1)
+        for lam in range(1, ctx.n + 1)
+    }
+    point = _random_point(ctx, rng, jets)
+    assert jet_matrix_rank(point, ctx) == 1 and not first_jets_all_zero(point, ctx)
+    assert jacobian_matrix_at(point, ctx) == _symbolic_jacobian(ctx)(point)
+
+
+def test_failed_certification_names_the_point(monkeypatch):
+    solve = jetspace.solve_linear_exact
+
+    def perturbed(matrix, rhs):
+        return [x + 1 for x in solve(matrix, rhs)]
+
+    monkeypatch.setattr(jetspace, "solve_linear_exact", perturbed)
+    with pytest.raises(RuntimeError, match="fails certification") as failure:
+        sample_vertical_jet(CTX23, chart=2, rng=0)
+    assert '"_chart": "2"' in str(failure.value)

@@ -10,13 +10,17 @@ from hypothesis import strategies as st  # noqa: E402
 
 from jetframes.algebra import (  # noqa: E402
     Polynomial,
+    VectorField,
     coeff,
     coord,
     det_cofactor,
+    enumerate_exponents,
     jet,
     mat,
     solve_linear_exact,
+    unit_index,
 )
+from jetframes.jetspace import JetContext, monomial_series  # noqa: E402
 
 # one variable of every kind a table or an equation can hold
 VARIABLES = (coord(1), coord(2), jet(1, 1), jet(2, 2), coeff((0, 1)), coeff((1, 0)), mat(1, 2))
@@ -36,19 +40,28 @@ polynomials = st.lists(st.tuples(monomials, scalars), max_size=8).map(
 @given(polynomials)
 def test_gradient_equals_every_nonzero_partial(p):
     expected = {v: p.diff(v) for v in VARIABLES if not p.diff(v).is_zero()}
-    assert p.gradient() == expected
+    assert p.gradient(p.variables()) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(polynomials, st.sets(st.sampled_from(VARIABLES)))
 def test_restricted_gradient_keeps_only_the_named_variables(p, subset):
-    assert p.gradient(subset) == {v: d for v, d in p.gradient().items() if v in subset}
+    assert p.gradient(subset) == {v: d for v, d in p.gradient(p.variables()).items() if v in subset}
 
 
 def test_gradient_normalizes_integral_coefficients():
     p = Polynomial.var(coord(1), 2, Fraction(1, 2))
-    (d,) = p.gradient().values()
+    (d,) = p.gradient(p.variables()).values()
     assert d == Polynomial.var(coord(1)) and type(d.terms[((coord(1), 1),)]) is int
+
+
+fields = st.dictionaries(st.sampled_from(VARIABLES), polynomials, max_size=3).map(VectorField)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields, polynomials, polynomials)
+def test_vector_field_obeys_the_leibniz_rule(x, p, q):
+    assert x.apply(p * q) == x.apply(p) * q + p * x.apply(q)
 
 
 @settings(max_examples=100, deadline=None)
@@ -74,3 +87,35 @@ def test_solution_satisfies_the_system(system):
     a, b = system
     x = solve_linear_exact(a, b)
     assert [sum((c * xi for c, xi in zip(row, x)), Polynomial()) for row in a] == b
+
+
+def _truncated_product(a, b):
+    """The product of two power series, cut after the length of a."""
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+@st.composite
+def curves_and_exponents(draw):
+    """A context, a rational curve with one series per coordinate, and two
+    exponents whose sum has degree at most d."""
+    ctx = draw(st.sampled_from([JetContext(2, 3), JetContext(3, 4)]))
+    coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    curve = draw(st.lists(
+        st.lists(coefficients, min_size=ctx.n + 1, max_size=ctx.n + 1),
+        min_size=ctx.nvars, max_size=ctx.nvars,
+    ))
+    exponents = enumerate_exponents(ctx.nvars, ctx.d)
+    alpha = draw(st.sampled_from(exponents))
+    beta = draw(st.sampled_from([b for b in exponents if sum(alpha) + sum(b) <= ctx.d]))
+    return ctx, curve, alpha, beta
+
+
+@settings(max_examples=100, deadline=None)
+@given(curves_and_exponents())
+def test_monomial_series_multiply_as_truncated_series(case):
+    ctx, curve, alpha, beta = case
+    series = monomial_series(curve, ctx)
+    total = tuple(a + b for a, b in zip(alpha, beta))
+    assert series[total] == _truncated_product(series[alpha], series[beta])
+    for i in range(1, ctx.nvars + 1):
+        assert series[unit_index(ctx.nvars, i)] == curve[i - 1]
