@@ -333,7 +333,7 @@ class Polynomial:
             return self
         binds = {v: _as_poly(b) for v, b in bindings.items()}
         pow_cache: dict = {}
-        acc = Polynomial()
+        out: dict = {}
         for m, c in self.terms.items():
             passthrough = []
             factors = []
@@ -351,8 +351,9 @@ class Polynomial:
             term = Polynomial.monomial(passthrough, c)
             for f in factors:
                 term = term * f
-            acc = acc + term
-        return acc
+            for mono, tc in term.terms.items():
+                out[mono] = out.get(mono, 0) + tc
+        return Polynomial(out)
 
     def evaluate(self, assignment: Mapping[Variable, Scalar]) -> Scalar:
         """Full numeric evaluation; every variable present must be bound."""

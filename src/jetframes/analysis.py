@@ -33,8 +33,6 @@ from .algebra import (
     phi,
     rank_modular,
     rank_rational,
-    solve_linear_exact,
-    unit_index,
     var_name,
 )
 from .frames import FrameField, admissible_coefficient_exponents, enumerate_frame
@@ -44,16 +42,17 @@ from .jetspace import (
     first_jets_all_zero,
     jacobian_matrix_at,
     monomial_series,
-    power_chain,
     sample_vertical_jet,
     total_derivative,
 )
 from .wronskian import (
-    VARIANT_CLASSICAL,
     VARIANT_POWER,
+    VARIANTS,
     classical_wronskian,
     cramer_coefficients,
     power_wronskian,
+    solved_exponents,
+    system_determinant,
 )
 
 
@@ -249,20 +248,14 @@ def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345)
         """D^kappa(z^alpha) along the curve, kappa = 1..n."""
         return [math.factorial(kappa) * series[alpha][kappa] for kappa in range(1, n + 1)]
 
-    for variant, label in ((VARIANT_POWER, "v1"), (VARIANT_CLASSICAL, "v2")):
-        chart = 1 if variant == VARIANT_POWER else None
-        if variant == VARIANT_POWER:
-            base_alphas = power_chain(ctx, 1)
-            col_weight = {k: k for k in range(1, n + 1)}
-            base_order = n * n + n  # sum of row weights + column weights
-        else:
-            base_alphas = tuple(unit_index(ctx.nvars, k) for k in range(1, n + 1))
-            col_weight = {k: 1 for k in range(1, n + 1)}
-            base_order = n * (n + 1) // 2 + n
-        base_cols = [column(beta) for beta in base_alphas]
-        row0 = [series[beta][0] for beta in base_alphas]
+    for variant, label in VARIANTS:
+        solved = solved_exponents(variant, ctx, 1)
+        # the sum of the row weights 1..n and of the column weights |beta_k|
+        base_order = n * (n + 1) // 2 + sum(map(mi_total, solved))
+        base_cols = [column(beta) for beta in solved]
+        row0 = [series[beta][0] for beta in solved]
         scale_val = integer_bareiss([[col[r] for col in base_cols] for r in range(n)])[1]
-        for alpha in admissible_coefficient_exponents(variant, ctx, chart):
+        for alpha in admissible_coefficient_exponents(variant, ctx, 1):
             la = mi_total(alpha)
             alpha_col = column(alpha)
             b_values = []
@@ -272,16 +265,16 @@ def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345)
                     for r in range(n)
                 ]
                 b_values.append(integer_bareiss(matrix)[1])
-            claimed = {k: la + base_order - col_weight[k] for k in range(1, n + 1)}
-            claimed[0] = la + base_order
+            # B_k drops the column of beta_k (beta_0 = 0 for the order-0 row)
+            claimed = [la + base_order - mi_total(beta) for beta in ((0,) * ctx.nvars, *solved)]
             b0_value = scale_val * series[alpha][0] - sum(bv * rv for bv, rv in zip(b_values, row0))
-            values = {0: b0_value, **{k: b_values[k - 1] for k in range(1, n + 1)}}
+            values = [b0_value, *b_values]
             for k in range(n + 1):
                 name = f"cramer[{label},a={alpha},k={k}]"
                 if not expand and values[k] != 0:
                     rows.append(PoleRow(name, claimed[k], claimed[k], True, True, "structural"))
                 else:
-                    coeffs = cramer_coefficients(variant, alpha, ctx, chart)
+                    coeffs = cramer_coefficients(variant, alpha, ctx, 1)
                     pk = pole_order(coeffs.b[k])
                     rows.append(
                         PoleRow(name, claimed[k], pk.order, pk.uniform, pk.order == claimed[k], "expanded")
@@ -378,12 +371,12 @@ def action_matrix(rj: ReparamJet) -> list:
 
 
 def _invert_unipotent(c: list, n: int) -> list:
+    """Inverse of a unipotent lower-triangular matrix by exact forward substitution."""
     inv = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     for j in range(1, n + 1):
-        rhs = [Fraction(1) if r == j else Fraction(0) for r in range(1, n + 1)]
-        col = solve_linear_exact([[c[r][k] for k in range(1, n + 1)] for r in range(1, n + 1)], rhs)
-        for r in range(1, n + 1):
-            inv[r][j] = Fraction(col[r - 1].constant_value())
+        inv[j][j] = Fraction(1)
+        for r in range(j + 1, n + 1):
+            inv[r][j] = -sum((c[r][k] * inv[k][j] for k in range(j, r)), Fraction(0))
     return inv
 
 
@@ -509,14 +502,13 @@ class SamplingError(RuntimeError):
 
 def sample_for_variant(ctx: JetContext, chart: int, variant: int, rng: random.Random) -> JetPoint:
     """Sample a certified point in the open locus the variant needs: first
-    jets not all zero (automatic: the chart jet is nonzero), and for the
-    classical variant a nonvanishing classical Wronskian."""
-    w = classical_wronskian(ctx)
+    jets not all zero (automatic: the chart jet is nonzero), and a nonvanishing
+    system determinant of the variant's solved slots (automatic for the power
+    chain on its own chart: c (z_chart')^m)."""
+    w = system_determinant(solved_exponents(variant, ctx, chart), ctx)
     for _ in range(SAMPLE_ATTEMPTS):
         point = sample_vertical_jet(ctx, chart, rng)
-        if first_jets_all_zero(point, ctx):
-            continue
-        if variant == VARIANT_CLASSICAL and w.evaluate(point.assignment) == 0:
+        if first_jets_all_zero(point, ctx) or w.evaluate(point.assignment) == 0:
             continue
         return point
     raise SamplingError(

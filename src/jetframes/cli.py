@@ -38,8 +38,7 @@ from .jetspace import (
     partition_coefficient,
 )
 from .wronskian import (
-    VARIANT_CLASSICAL,
-    VARIANT_POWER,
+    VARIANTS,
     cramer_coefficients,
     cramer_system_residuals,
     power_wronskian,
@@ -128,13 +127,10 @@ def suite_wronskian(config: RunConfig) -> list:
         items.append(
             _item(f"power wronskian chart {i}", power_wronskian_closed_form(i, ctx).to_text(), got.to_text())
         )
-    for variant, label, chart in (
-        (VARIANT_POWER, "v1", config.chart),
-        (VARIANT_CLASSICAL, "v2", None),
-    ):
+    for variant, label in VARIANTS:
         ok = True
-        for alpha in admissible_coefficient_exponents(variant, ctx, chart):
-            coeffs = cramer_coefficients(variant, alpha, ctx, chart)
+        for alpha in admissible_coefficient_exponents(variant, ctx, config.chart):
+            coeffs = cramer_coefficients(variant, alpha, ctx, config.chart)
             if not all(r.is_zero() for r in cramer_system_residuals(coeffs, ctx)):
                 ok = False
                 break
@@ -155,11 +151,9 @@ def suite_frames(config: RunConfig) -> list:
         return None
 
     coeff_fields = [
-        coefficient_field(VARIANT_POWER, a, ctx, config.chart)
-        for a in admissible_coefficient_exponents(VARIANT_POWER, ctx, config.chart)
-    ] + [
-        coefficient_field(VARIANT_CLASSICAL, a, ctx)
-        for a in admissible_coefficient_exponents(VARIANT_CLASSICAL, ctx)
+        coefficient_field(variant, a, ctx, config.chart)
+        for variant, _ in VARIANTS
+        for a in admissible_coefficient_exponents(variant, ctx, config.chart)
     ]
     offender = all_annihilated(coeff_fields)
     items.append(_bool_item("coefficient fields annihilate every equation", offender is None))
@@ -210,7 +204,7 @@ def suite_pole_orders(config: RunConfig) -> list:
 def suite_span(config: RunConfig) -> list:
     ctx = config.context()
     items = []
-    for variant, label in ((VARIANT_POWER, "v1"), (VARIANT_CLASSICAL, "v2")):
+    for variant, label in VARIANTS:
         results = spanning_check(
             ctx, chart=config.chart, trials=config.trials, seed=config.seed, variant=variant
         )

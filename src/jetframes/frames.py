@@ -36,12 +36,7 @@ from .algebra import (
     unit_index,
 )
 from .jetspace import JetContext
-from .wronskian import (
-    VARIANT_POWER,
-    cramer_coefficients,
-    excluded_exponents,
-    solved_exponents,
-)
+from .wronskian import VARIANT_POWER, cramer_coefficients, excluded_exponents
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,7 @@ def coefficient_field(
     alpha = tuple(alpha)
     coeffs = cramer_coefficients(variant, alpha, ctx, chart)
     directions = {ctx.coeff_var(alpha): coeffs.scale}
-    solved = [(0,) * ctx.nvars, *solved_exponents(variant, ctx, chart)]
+    solved = [(0,) * ctx.nvars, *coeffs.solved]
     label = f"coeff[v1,chart={chart},a={alpha}]" if variant == VARIANT_POWER else f"coeff[v2,a={alpha}]"
     for slot, bk in zip(solved, coeffs.b):
         directions[ctx.coeff_var(slot)] = directions.get(ctx.coeff_var(slot), Polynomial.zero()) - bk
@@ -305,7 +300,7 @@ def jet_field_block(ctx: JetContext, rho) -> tuple[list, list, list]:
     nvars = ctx.nvars
     unknowns = [
         beta
-        for beta in enumerate_exponents(nvars, ctx.n)
+        for beta in _jet_exponents(ctx)
         if mi_leq(beta, rho) and rho[0] - beta[0] < ctx.d
     ]
     rows: list = []
@@ -408,9 +403,8 @@ def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWE
     coefficient fields, one canonical shifted field per long exponent, every
     coordinate field, and one jet-linear field per elementary matrix."""
     fields = []
-    chart_arg = chart if variant == VARIANT_POWER else None
-    for alpha in admissible_coefficient_exponents(variant, ctx, chart_arg):
-        fields.append(coefficient_field(variant, alpha, ctx, chart_arg))
+    for alpha in admissible_coefficient_exponents(variant, ctx, chart):
+        fields.append(coefficient_field(variant, alpha, ctx, chart))
     fields += canonical_shifted_fields(ctx)
     for i in range(1, ctx.nvars + 1):
         fields.append(coordinate_field(i, ctx))

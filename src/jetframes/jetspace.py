@@ -171,9 +171,9 @@ def power_chain(ctx: JetContext, chart: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def power_jet_entry(ctx: JetContext, i: int, k: int, kappa: int) -> Polynomial:
-    """D^kappa(z_i^k), the (kappa, k) entry of the power-Wronskian matrix."""
-    return iterated_total_derivative(Polynomial.var(coord(i)) ** k, kappa, ctx)
+def monomial_jet_entry(ctx: JetContext, beta: tuple, kappa: int) -> Polynomial:
+    """D^kappa(z^beta): the entry of a Cramer system matrix at row kappa, column beta."""
+    return iterated_total_derivative(ctx.monomial_z(beta), kappa, ctx)
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,7 @@ from jetframes.analysis import (
     reparam_action,
     reparam_point,
     reparam_polynomial,
+    sample_for_variant,
     spanning_check,
     verify_pole_table,
 )
@@ -42,6 +43,7 @@ from jetframes.jetspace import (
 from jetframes.wronskian import (
     VARIANT_CLASSICAL,
     VARIANT_POWER,
+    VARIANTS,
     classical_wronskian,
     power_wronskian,
 )
@@ -263,6 +265,25 @@ def test_pole_table_formulas_per_row():
     assert rows["cramer[v2,a=(0, 0, 2),k=0]"].computed == (4 + 6) // 2 + 2
     assert rows["cramer[v2,a=(0, 0, 2),k=1]"].computed == (4 + 6 - 2) // 2 + 2
 
+    # every Cramer row at (3,4), all expanded: B_k of variant 1 drops the
+    # column z_i^k, of variant 2 the column z_k (B_0 drops none)
+    n = CTX34.n
+    claims = {
+        "v1": lambda la, k: la + n * n + n - k,
+        "v2": lambda la, k: la + n * (n + 1) // 2 + n - (k >= 1),
+    }
+    rows = {r.name: r for r in verify_pole_table(CTX34).rows}
+    checked = 0
+    for variant, label in VARIANTS:
+        for alpha in admissible_coefficient_exponents(variant, CTX34, 1):
+            for k in range(n + 1):
+                row = rows[f"cramer[{label},a={alpha},k={k}]"]
+                assert row.method == "expanded"
+                assert row.claimed == row.computed == claims[label](sum(alpha), k), row
+                checked += 1
+    # C(7, 3) = 35 exponents with |alpha| <= 3, less the n + 1 solved slots
+    assert checked == sum(name.startswith("cramer[") for name in rows) == 2 * (35 - n - 1) * (n + 1)
+
 
 # -- reparametrization ------------------------------------------------------------
 
@@ -391,6 +412,18 @@ def test_sampler_avoids_degenerate_loci():
         p2 = sample_for_variant(ctx, 1, VARIANT_CLASSICAL, rng)
         assert w.evaluate(p2.assignment) != 0
         assert not wronskians_all_zero(p2, ctx)
+
+
+def test_power_sampler_accepts_every_draw():
+    # on its own chart the power determinant c (z_chart')^m never vanishes, so
+    # sample_for_variant returns the first draw and consumes nothing more
+    for ctx in (CTX23, CTX34):
+        for chart in range(1, ctx.nvars + 1):
+            for seed in (0, 1, 2):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = sample_for_variant(ctx, chart, VARIANT_POWER, ours)
+                assert got == sample_vertical_jet(ctx, chart, theirs)
+                assert ours.random() == theirs.random()
 
 
 def test_sampler_gives_up_with_named_error(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from jetframes.algebra import Polynomial, coord, determinant, jet
-from jetframes.jetspace import JetContext, iterated_total_derivative
+from jetframes.jetspace import JetContext, iterated_total_derivative, power_chain
 from jetframes.wronskian import (
     VARIANT_CLASSICAL,
     VARIANT_POWER,
@@ -11,10 +11,11 @@ from jetframes.wronskian import (
     cramer_coefficients,
     cramer_system_residuals,
     excluded_exponents,
-    power_jet_matrix,
     power_wronskian,
     power_wronskian_closed_form,
     power_wronskian_identity_holds,
+    solved_exponents,
+    system_matrix,
 )
 from jetframes.algebra import enumerate_exponents
 
@@ -33,7 +34,7 @@ def test_power_wronskian_n2():
 def test_power_wronskian_n3_direct_expansion():
     ctx = JetContext(3, 4)
     # independent 3x3 cofactor expansion of the explicit matrix
-    m = power_jet_matrix(1, ctx)
+    m = system_matrix(power_chain(ctx, 1), ctx)
     det = (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -53,6 +54,22 @@ def test_identity_n4_constant():
     expected = Polynomial.monomial([(jet(2, 1), 10)], 288)  # 1!2!3!4! = 288
     assert power_wronskian(2, ctx) == expected
     assert power_wronskian_closed_form(2, ctx) == expected
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 4)])
+def test_system_matrix_of_both_slot_sets(n, d):
+    # [D^kappa z^beta] built by hand: the power chain beta_k = k e_i gives
+    # D^kappa(z_i^k), the unit slots beta_k = e_k give z_k^(kappa)
+    ctx = JetContext(n, d)
+    ks = range(1, n + 1)
+    classical = [[Polynomial.var(jet(k, kappa)) for k in ks] for kappa in ks]
+    for chart in range(1, ctx.nvars + 1):
+        zi = Polynomial.var(coord(chart))
+        power = [[iterated_total_derivative(zi**k, kappa, ctx) for k in ks] for kappa in ks]
+        assert system_matrix(solved_exponents(VARIANT_POWER, ctx, chart), ctx) == power
+        assert determinant(power) == power_wronskian(chart, ctx)
+        assert system_matrix(solved_exponents(VARIANT_CLASSICAL, ctx, chart), ctx) == classical
+        assert determinant(classical) == classical_wronskian(ctx)
 
 
 def test_classical_wronskian_small():
@@ -104,7 +121,7 @@ def test_cramer_against_hand_2x2_oracle():
     chart = 1
     alpha = (0, 1, 0)
     coeffs = cramer_coefficients(VARIANT_POWER, alpha, ctx, chart)
-    m = power_jet_matrix(chart, ctx)
+    m = system_matrix(power_chain(ctx, chart), ctx)
     za = ctx.monomial_z(alpha)
     r1 = iterated_total_derivative(za, 1, ctx)
     r2 = iterated_total_derivative(za, 2, ctx)
@@ -129,7 +146,7 @@ def test_cramer_alternating_in_columns():
     alpha = (0, 1, 1, 0)
     za = ctx.monomial_z(alpha)
     column = [iterated_total_derivative(za, kappa, ctx) for kappa in (1, 2, 3)]
-    m = power_jet_matrix(chart, ctx)
+    m = system_matrix(power_chain(ctx, chart), ctx)
     replaced = [[column[k], row[1], row[2]] for k, row in enumerate(m)]
     swapped = [[row[1], column[k], row[2]] for k, row in enumerate(m)]
     assert determinant(replaced) == -determinant(swapped)
