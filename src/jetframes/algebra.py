@@ -125,15 +125,19 @@ def _mono_div(a: Monomial, b: Monomial):
     return tuple(sorted(rem.items()))
 
 
+def _mono_degree(m: Monomial) -> int:
+    return sum(e for _, e in m)
+
+
 def _mono_key(m: Monomial):
     # graded order first, then lexicographic on the (variable, exponent) pairs
-    return (sum(e for _, e in m), m)
+    return (_mono_degree(m), m)
 
 
 def _glex_key(m: Monomial):
     # proper graded-lex monomial order (earlier variables have priority);
     # the *minimum* of this key over the support is the leading monomial
-    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+    return (-_mono_degree(m), tuple((v, -e) for v, e in m))
 
 
 class Polynomial:
@@ -439,6 +443,81 @@ class Polynomial:
         return f"Polynomial({self.to_text()})"
 
 
+class IntegerPoint:
+    """An assignment over one common denominator D, the lcm of the
+    denominators of its values: x_v = numerators[v] / D.  Powers of the
+    numerators and of D are cached, for every polynomial evaluated here:
+    powers[(v, e)] is numerators[v]**e once some polynomial has read it."""
+
+    __slots__ = ("den", "numerators", "powers", "_den_powers")
+
+    def __init__(self, assignment: Mapping[Variable, Scalar]):
+        den = math.lcm(*(x.denominator for x in assignment.values()))
+        self.den = den
+        self.numerators = {v: x.numerator * (den // x.denominator) for v, x in assignment.items()}
+        self.powers: dict = {}
+        self._den_powers = [1]
+
+    def den_powers(self, degree: int) -> list:
+        """[D**0, ..., D**degree]."""
+        dp = self._den_powers
+        while len(dp) <= degree:
+            dp.append(dp[-1] * self.den)
+        return dp
+
+
+class IntegerPolynomial:
+    """p times scale, over a point's common denominator: the terms
+    c * scale * z^m, each with the gap degree - |m|.  At an IntegerPoint with
+    denominator D, numerator(point) = sum c scale N^m D^(degree - |m|) is the
+    integer p(x) * scale * D^degree.  scale defaults to the lcm of the
+    coefficient denominators and degree to the largest term degree; larger
+    values (say, shared by several polynomials) must stay multiples of them."""
+
+    __slots__ = ("scale", "degree", "terms")
+
+    def __init__(self, p: Polynomial, scale: int | None = None, degree: int | None = None):
+        if scale is None:
+            scale = math.lcm(*(c.denominator for c in p.terms.values()))
+        if degree is None:
+            degree = max(map(_mono_degree, p.terms), default=0)
+        self.scale = scale
+        self.degree = degree
+        self.terms = []
+        for m, c in p.terms.items():
+            gap = degree - _mono_degree(m)
+            if scale % c.denominator or gap < 0:
+                raise ValueError(f"scale {scale} and degree {degree} do not clear the term {c} {m}")
+            self.terms.append((c.numerator * (scale // c.denominator), m, gap))
+
+    def numerator(self, point: IntegerPoint) -> int:
+        powers = point.powers
+        numerators = point.numerators
+        dp = point.den_powers(self.degree)
+        total = 0
+        for c, m, gap in self.terms:
+            for pair in m:
+                pv = powers.get(pair)
+                if pv is None:
+                    v, e = pair
+                    pv = powers[pair] = numerators[v] ** e
+                c *= pv
+            total += c * dp[gap]
+        return total
+
+    def denominator(self, point: IntegerPoint) -> int:
+        """scale * D^degree: numerator(point) over it is p at the point."""
+        return self.scale * point.den ** self.degree
+
+
+def common_integer_forms(polys: Sequence[Polynomial]) -> list:
+    """Integer forms of polys over one scale and one degree, so that their
+    numerators at a point are their values times one positive integer."""
+    scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    degree = max((_mono_degree(m) for p in polys for m in p.terms), default=0)
+    return [IntegerPolynomial(p, scale, degree) for p in polys]
+
+
 def _as_poly(x) -> Polynomial:
     if isinstance(x, Polynomial):
         return x
@@ -663,10 +742,15 @@ def integer_bareiss(
 
 def _integer_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Rows scaled to integers, each by the lcm of its denominators, with
-    those scales (the determinant is multiplied by their product)."""
+    those scales (the determinant is multiplied by their product).  A row of
+    ints is returned as it is, with scale 1."""
     rows = []
     scales = []
     for row in matrix:
+        if all(type(x) is int for x in row):
+            rows.append(row)
+            scales.append(1)
+            continue
         fr = [x if isinstance(x, (int, Fraction)) else _to_fraction(x) for x in row]
         lcm = math.lcm(*(f.denominator for f in fr))
         rows.append([f.numerator * (lcm // f.denominator) for f in fr])
@@ -731,14 +815,13 @@ def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence):
     both.  Raises InconsistentSystem / UnderdeterminedSystem instead of
     approximating.
     """
-    a = [[_to_fraction(x) for x in row] for row in matrix]
     b = [_as_poly(x) for x in rhs]
-    if len(a) != len(b):
+    if len(matrix) != len(b):
         raise ValueError("matrix/rhs size mismatch")
-    ncols = len(a[0]) if a else 0
-    if any(len(row) != ncols for row in a):
+    ncols = len(matrix[0]) if matrix else 0
+    if any(len(row) != ncols for row in matrix):
         raise ValueError("ragged matrix")
-    ints, scales = _integer_rows(a)
+    ints, scales = _integer_rows(matrix)
     return integer_bareiss(ints, [x * s for x, s in zip(b, scales)])[2]
 
 

@@ -23,9 +23,12 @@ from .algebra import (
     COORD,
     JET,
     PHI,
+    IntegerPolynomial,
     Polynomial,
     VectorField,
     Variable,
+    _integer_rows,
+    common_integer_forms,
     coord,
     integer_bareiss,
     jet,
@@ -269,12 +272,14 @@ def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345)
             claimed = [la + base_order - mi_total(beta) for beta in ((0,) * ctx.nvars, *solved)]
             b0_value = scale_val * series[alpha][0] - sum(bv * rv for bv, rv in zip(b_values, row0))
             values = [b0_value, *b_values]
+            coeffs = None
             for k in range(n + 1):
                 name = f"cramer[{label},a={alpha},k={k}]"
                 if not expand and values[k] != 0:
                     rows.append(PoleRow(name, claimed[k], claimed[k], True, True, "structural"))
                 else:
-                    coeffs = cramer_coefficients(variant, alpha, ctx, 1)
+                    if coeffs is None:
+                        coeffs = cramer_coefficients(variant, alpha, ctx, 1)
                     pk = pole_order(coeffs.b[k])
                     rows.append(
                         PoleRow(name, claimed[k], pk.order, pk.uniform, pk.order == claimed[k], "expanded")
@@ -428,13 +433,19 @@ def reparam_action(obj, rj: ReparamJet, ctx: JetContext):
     raise TypeError(f"cannot transform {type(obj).__name__}")
 
 
+@lru_cache(maxsize=1)
+def _pushforward_maps(rj: ReparamJet, ctx: JetContext) -> tuple:
+    """The action matrix of rj and the inverse jet substitution; every field
+    pushed forward by one draw shares them."""
+    c = action_matrix(rj)
+    return c, _jet_substitution(_invert_unipotent(c, rj.n), ctx)
+
+
 def pushforward_field(field, rj: ReparamJet, ctx: JetContext) -> VectorField:
     """Express the field in the transformed jet coordinates: directions mix
     by the action matrix, coefficient functions by the inverse substitution."""
     vf = field.field if isinstance(field, FrameField) else field
-    c = action_matrix(rj)
-    inv = _invert_unipotent(c, rj.n)
-    binds = _jet_substitution(inv, ctx)
+    c, binds = _pushforward_maps(rj, ctx)
     pushed: dict = {}
     for v, coeff_poly in vf.items():
         moved = coeff_poly.subs(binds)
@@ -484,10 +495,21 @@ class SpanningTrial:
 
 
 def field_vector(field: FrameField, point: JetPoint, ctx: JetContext) -> list:
+    """The field's value at the point, one Fraction per ambient variable, by
+    Polynomial.evaluate; the reference the integer rows of spanning_check are
+    tested against."""
     return [
         Fraction(field.field.get(v).evaluate(point.assignment)) if v in field.field.coeffs else Fraction(0)
         for v in ctx.ambient_variables
     ]
+
+
+def _field_forms(field: FrameField, ctx: JetContext) -> list:
+    """(ambient index, integer form) for each direction the field moves, the
+    forms sharing one scale and degree."""
+    slots = [(j, field.field.coeffs[v]) for j, v in enumerate(ctx.ambient_variables) if v in field.field.coeffs]
+    forms = common_integer_forms([p for _, p in slots])
+    return [(j, form) for (j, _), form in zip(slots, forms)]
 
 
 # Draws sample_for_variant makes before giving up.  The degenerate loci are
@@ -505,10 +527,10 @@ def sample_for_variant(ctx: JetContext, chart: int, variant: int, rng: random.Ra
     jets not all zero (automatic: the chart jet is nonzero), and a nonvanishing
     system determinant of the variant's solved slots (automatic for the power
     chain on its own chart: c (z_chart')^m)."""
-    w = system_determinant(solved_exponents(variant, ctx, chart), ctx)
+    w = IntegerPolynomial(system_determinant(solved_exponents(variant, ctx, chart), ctx))
     for _ in range(SAMPLE_ATTEMPTS):
         point = sample_vertical_jet(ctx, chart, rng)
-        if first_jets_all_zero(point, ctx) or w.evaluate(point.assignment) == 0:
+        if first_jets_all_zero(point, ctx) or w.numerator(point.integer_point) == 0:
             continue
         return point
     raise SamplingError(
@@ -529,6 +551,12 @@ def spanning_check(
     verify every enumerated field is tangent there (annihilates all Jacobian
     rows), and check the stacked field values span the full tangent space.
 
+    All of it runs on integer rows: each field's row is its value times
+    scale * D^degree (its integer forms, built once per call, share one scale
+    and degree; D is the point's common denominator), and each Jacobian row is
+    scaled to integers.  Scaling a row by a nonzero integer changes neither
+    tangency nor any rank.
+
     Both ranks are first taken modulo a prime, which never exceeds the rank
     over Q.  The Jacobian has n+1 rows, so a modular rank of n+1 is exact.
     Tangent fields lie in ker J, of dimension expected once rank J = n+1, so a
@@ -537,20 +565,25 @@ def spanning_check(
     if fields is None:
         fields = enumerate_frame(ctx, chart, variant)
     expected = ctx.ambient_dimension - (ctx.n + 1)
+    compiled = [_field_forms(f, ctx) for f in fields]
     results = []
     for t in range(trials):
         point = sample_for_variant(ctx, chart, variant, rng)
-        jac = jacobian_matrix_at(point, ctx)
+        ipoint = point.integer_point
+        jac = _integer_rows(jacobian_matrix_at(point, ctx))[0]
         jac_certified = rank_modular(jac) == ctx.n + 1
         jrank = ctx.n + 1 if jac_certified else rank_rational(jac)
         vectors = []
         tangent_ok = True
         offender = None
-        for f in fields:
-            vec = field_vector(f, point, ctx)
+        for f, forms in zip(fields, compiled):
+            entries = [(j, form.numerator(ipoint)) for j, form in forms]
+            vec = [0] * ctx.ambient_dimension
+            for j, x in entries:
+                vec[j] = x
             vectors.append(vec)
             for row in jac:
-                if sum(r * x for r, x in zip(row, vec) if x) != 0:
+                if sum(row[j] * x for j, x in entries) != 0:
                     tangent_ok = False
                     offender = offender or f.label
                     break

@@ -16,12 +16,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .algebra import (
     COORD,
     JET,
+    IntegerPoint,
+    IntegerPolynomial,
     Polynomial,
     Variable,
     coeff,
@@ -309,6 +311,13 @@ class JetPoint:
     def value(self, v: Variable) -> Fraction:
         return self.assignment[v]
 
+    @cached_property
+    def integer_point(self) -> IntegerPoint:
+        """The assignment over its common denominator, with the power cache
+        that every polynomial evaluated at this point shares.  Read it only
+        once the assignment is complete."""
+        return IntegerPoint(self.assignment)
+
     def curve(self, ctx: JetContext) -> list:
         """The curve germ whose n-jet the point is: one truncated series
         [z_i, z_i'/1!, ..., z_i^(n)/n!] per coordinate."""
@@ -400,13 +409,21 @@ def sample_vertical_jet(
         known = [x + a * s for x, s in zip(known, series[alpha])]
     assignment[ctx.coeff_var(zero_alpha)] = -Fraction(known[0])
 
-    eqs = defining_equations_iterated(ctx)
-    residues = [eqs[kap].evaluate(assignment) for kap in range(ctx.n + 1)]
-    if any(r != 0 for r in residues):
+    ipoint = point.integer_point
+    if any(form.numerator(ipoint) for form in _equation_forms(ctx)):
+        residues = [
+            Fraction(form.numerator(ipoint), form.denominator(ipoint)) for form in _equation_forms(ctx)
+        ]
         raise RuntimeError(
             f"sampled point fails certification: residues {residues} at {point.to_json()}"
         )
     return point
+
+
+@lru_cache(maxsize=None)
+def _equation_forms(ctx: JetContext) -> tuple:
+    """The integer forms of defining_equations_iterated, the sampler's certificate."""
+    return tuple(IntegerPolynomial(eq) for eq in defining_equations_iterated(ctx))
 
 
 def first_jets_all_zero(point: JetPoint, ctx: JetContext) -> bool:

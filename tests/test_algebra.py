@@ -243,6 +243,21 @@ def test_modular_rank_never_exceeds_rational_rank():
     assert rank_modular(m) == 1 < rank_rational(m) == 2
 
 
+def test_integer_rows_pass_int_rows_through(monkeypatch):
+    import jetframes.algebra as algebra
+
+    ints = [[3, -1, 0], [0, 0, 0], [2**70, 5, -7]]
+    mixed = [[Fraction(1, 2), 3, Fraction(-2, 3)], [1, 2, 3]]
+    assert algebra._integer_rows(mixed) == ([[3, 18, -4], [1, 2, 3]], [6, 1])
+    system = ints[:1] + [[0, 1, 1], [1, 0, 1]]
+    assert [x.constant_value() for x in algebra.solve_linear_exact(system, [1, 2, 3])] == [0, -1, 3]
+    # an all-int row is returned as it is, and no Fraction is built for it
+    monkeypatch.setattr(algebra, "Fraction", None)
+    rows, scales = algebra._integer_rows(ints)
+    assert all(a is b for a, b in zip(rows, ints)) and scales == [1, 1, 1]
+    assert algebra.rank_modular(ints) == algebra.rank_rational(ints) == 2
+
+
 def test_modular_rank_matches_sympy_on_full_rank_matrices():
     rng = random.Random(62)
     for nrows, ncols in ((1, 4), (5, 5), (8, 3), (12, 17), (20, 20)):

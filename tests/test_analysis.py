@@ -248,6 +248,23 @@ def test_pole_table_structural_path_agrees_with_expansion():
         assert ex == st
 
 
+def test_pole_table_solves_each_cramer_vector_once(monkeypatch):
+    import jetframes.analysis as analysis
+
+    calls = []
+    real = analysis.cramer_coefficients
+
+    def spy(variant, alpha, ctx, chart):
+        calls.append((variant, alpha))
+        return real(variant, alpha, ctx, chart)
+
+    monkeypatch.setattr(analysis, "cramer_coefficients", spy)
+    verify_pole_table(CTX34)  # n <= expand_limit: every row is expanded
+    assert sorted(calls) == sorted(
+        (variant, alpha) for variant, _ in VARIANTS for alpha in admissible_coefficient_exponents(variant, CTX34, 1)
+    )
+
+
 def test_pole_table_every_named_object_is_uniform():
     # every determinant coefficient shares a single weight over its monomials
     for ctx in (CTX23, CTX34):
@@ -373,6 +390,20 @@ def test_invariance_representatives_n3():
         assert invariance_check(f, rj, ctx), f.label
 
 
+def test_pushforward_builds_its_maps_once_per_draw(monkeypatch):
+    import jetframes.analysis as analysis
+
+    ctx = CTX34
+    rj = ReparamJet.random(3, random.Random(8))
+    builds = []
+    real = analysis.action_matrix
+    monkeypatch.setattr(analysis, "action_matrix", lambda r: builds.append(r) or real(r))
+    analysis._pushforward_maps.cache_clear()
+    frame = enumerate_frame(ctx, chart=1)
+    assert all(invariance_check(f, rj, ctx) for f in frame[:20])
+    assert len(builds) == 1
+
+
 def test_reparam_action_dispatch():
     ctx = CTX23
     rj = ReparamJet(2, (Fraction(1, 2),))
@@ -477,6 +508,39 @@ def test_field_vector_alignment():
     vec = field_vector(f, point, ctx)
     assert vec[1] == 1  # the z2 slot of the ambient ordering
     assert len(vec) == ctx.ambient_dimension
+
+
+@pytest.mark.parametrize("ctx", [CTX23, CTX34], ids=["2-3", "3-4"])
+def test_integer_rows_are_positive_multiples_of_field_vectors(ctx):
+    from jetframes.analysis import _field_forms
+
+    rng = random.Random(13)
+    for variant, _ in VARIANTS:
+        point = sample_for_variant(ctx, 1, variant, rng)
+        ipoint = point.integer_point
+        for f in enumerate_frame(ctx, 1, variant):
+            forms = _field_forms(f, ctx)
+            (scale,) = {form.scale * ipoint.den**form.degree for _, form in forms}
+            assert scale > 0
+            row = [0] * ctx.ambient_dimension
+            for j, form in forms:
+                row[j] = form.numerator(ipoint)
+            assert row == [x * scale for x in field_vector(f, point, ctx)], f.label
+
+
+def test_spanning_check_never_calls_evaluate(monkeypatch):
+    reference = {
+        variant: [r.to_dict() for r in spanning_check(CTX23, chart=1, trials=3, seed=42, variant=variant)]
+        for variant, _ in VARIANTS
+    }
+
+    def refuse(self, assignment):
+        raise AssertionError("Polynomial.evaluate called")
+
+    monkeypatch.setattr(Polynomial, "evaluate", refuse)
+    for variant, _ in VARIANTS:
+        results = spanning_check(CTX23, chart=1, trials=3, seed=42, variant=variant)
+        assert [r.to_dict() for r in results] == reference[variant]
 
 
 def _count_calls(monkeypatch, module, name):

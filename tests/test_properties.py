@@ -9,9 +9,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from jetframes.algebra import (  # noqa: E402
+    IntegerPoint,
+    IntegerPolynomial,
     Polynomial,
     VectorField,
     coeff,
+    common_integer_forms,
     coord,
     det_cofactor,
     enumerate_exponents,
@@ -56,6 +59,25 @@ def test_gradient_normalizes_integral_coefficients():
 
 
 fields = st.dictionaries(st.sampled_from(VARIABLES), polynomials, max_size=3).map(VectorField)
+
+
+# rational values with zeros, negatives and several denominators
+assignments = st.fixed_dictionaries(
+    {v: st.fractions(min_value=-9, max_value=9, max_denominator=7) for v in VARIABLES}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials, polynomials, assignments)
+def test_integer_form_divides_back_to_evaluate(p, q, values):
+    point = IntegerPoint(values)
+    assert all(x == Fraction(n, point.den) for x, n in zip(values.values(), point.numerators.values()))
+    forms = [IntegerPolynomial(p), IntegerPolynomial(q), *common_integer_forms([p, q])]
+    for poly, form in zip((p, q, p, q), forms):
+        num = form.numerator(point)
+        assert type(num) is int
+        assert form.denominator(point) == form.scale * point.den**form.degree > 0
+        assert Fraction(num, form.denominator(point)) == poly.evaluate(values)
 
 
 @settings(max_examples=100, deadline=None)
