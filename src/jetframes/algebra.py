@@ -85,6 +85,12 @@ Monomial = tuple
 _ONE_MONO: Monomial = ()
 
 
+def _mono(pairs: Iterable[tuple[Variable, int]]) -> Monomial:
+    """The stored monomial of (variable, exponent) pairs in any order, one
+    pair per variable; zero exponents are dropped."""
+    return tuple(sorted(pair for pair in pairs if pair[1]))
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -177,7 +183,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(pairs: Iterable[tuple[Variable, int]], c: Scalar = 1) -> "Polynomial":
-        mono = tuple(sorted((v, e) for v, e in pairs if e != 0))
+        mono = _mono(pairs)
         p = Polynomial()
         if c != 0:
             p.terms[mono] = _norm_scalar(c)
@@ -205,8 +211,9 @@ class Polynomial:
                 out.add(v)
         return out
 
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self.terms.get(mono, 0)
+    def coefficient(self, pairs: Iterable[tuple[Variable, int]]) -> Scalar:
+        """The coefficient of the monomial given by its (variable, exponent) pairs."""
+        return self.terms.get(_mono(pairs), 0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -293,29 +300,13 @@ class Polynomial:
 
     def diff(self, v: Variable) -> "Polynomial":
         """Formal partial derivative with respect to v."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            for idx, (w, e) in enumerate(m):
-                if w == v:
-                    if e == 1:
-                        nm = m[:idx] + m[idx + 1:]
-                    else:
-                        nm = m[:idx] + ((w, e - 1),) + m[idx + 1:]
-                    s = out.get(nm, 0) + c * e
-                    if s:
-                        out[nm] = s
-                    else:
-                        del out[nm]
-                    break
-                if w > v:
-                    break
-        p = Polynomial()
-        p.terms = {m: _norm_scalar(c) for m, c in out.items()}
-        return p
+        return self.gradient((v,)).get(v, ZERO)
 
     def gradient(self, variables) -> dict:
-        """Every nonzero partial derivative {v: self.diff(v)} with v in
-        variables, from one pass over the terms."""
+        """Every nonzero partial derivative {v: dself/dv} with v in
+        variables, from one pass over the terms.  This is the one place a
+        monomial is differentiated: diff, VectorField.apply and so every
+        total derivative go through it."""
         parts: dict = {}
         for m, c in self.terms.items():
             for idx, (v, e) in enumerate(m):
@@ -518,6 +509,23 @@ def common_integer_forms(polys: Sequence[Polynomial]) -> list:
     return [IntegerPolynomial(p, scale, degree) for p in polys]
 
 
+def iter_terms(p: Polynomial) -> Iterator[tuple[Monomial, Scalar]]:
+    """Each term of p as (its (variable, exponent) pairs sorted by variable,
+    its coefficient).  Outside this module, monomials are read only here."""
+    return iter(p.terms.items())
+
+
+def sum_terms(terms: Iterable[tuple[Iterable[tuple[Variable, int]], Scalar]]) -> Polynomial:
+    """The sum of the terms c * prod v^e over (pairs, c) in terms, in canonical
+    form; pairs may come in any order, one per variable.  Outside this module,
+    polynomials are built from monomials only here (or by Polynomial.monomial)."""
+    out: dict = {}
+    for pairs, c in terms:
+        mono = _mono(pairs)
+        out[mono] = out.get(mono, 0) + c
+    return Polynomial(out)
+
+
 def _as_poly(x) -> Polynomial:
     if isinstance(x, Polynomial):
         return x
@@ -551,10 +559,11 @@ class VectorField:
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Apply the derivation to p (linear, Leibniz by construction)."""
-        out = Polynomial()
+        out: dict = {}
         for v, dp in p.gradient(self.coeffs).items():
-            out = out + self.coeffs[v] * dp
-        return out
+            for mono, c in (self.coeffs[v] * dp).terms.items():
+                out[mono] = out.get(mono, 0) + c
+        return Polynomial(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):

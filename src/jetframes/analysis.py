@@ -22,7 +22,6 @@ from typing import NamedTuple, Sequence
 from .algebra import (
     COORD,
     JET,
-    PHI,
     IntegerPolynomial,
     Polynomial,
     VectorField,
@@ -31,6 +30,7 @@ from .algebra import (
     common_integer_forms,
     coord,
     integer_bareiss,
+    iter_terms,
     jet,
     mi_total,
     phi,
@@ -80,7 +80,7 @@ def pole_order(p: Polynomial) -> PoleOrder:
     """Max over monomials of the weight sum, plus a uniformity flag."""
     if p.is_zero():
         return PoleOrder(0, True)
-    weights = {monomial_weight(m) for m in p.terms}
+    weights = {monomial_weight(pairs) for pairs, _ in iter_terms(p)}
     return PoleOrder(max(weights), len(weights) == 1)
 
 
@@ -122,7 +122,7 @@ def chart_change_oracle(p: Polynomial, upsilon: int, ctx: JetContext) -> tuple:
     zu = Polynomial.var(coord(upsilon))
     transported = []  # (numerator, exponent) per term
     max_exp = 0
-    for mono, c in p.terms.items():
+    for mono, c in iter_terms(p):
         num = Polynomial.const(c)
         exp = 0
         for v, e in mono:
@@ -150,10 +150,8 @@ def monomial_oracle_order(p: Polynomial, upsilon: int, ctx: JetContext) -> int:
     """Independent oracle for pole_order: transport each monomial separately
     (no cross-term cancellation) and take the largest reduced exponent."""
     best = 0
-    for mono, c in p.terms.items():
-        single = Polynomial()
-        single.terms = {mono: c}
-        _, exp = chart_change_oracle(single, upsilon, ctx)
+    for pairs, c in iter_terms(p):
+        _, exp = chart_change_oracle(Polynomial.monomial(pairs, c), upsilon, ctx)
         best = max(best, exp)
     return best
 
@@ -332,22 +330,18 @@ class ReparamJet:
 def _action_coefficient_polys(n: int) -> tuple:
     """Row lam gives the transformed jet of order lam as a jet-linear
     polynomial with reparametrization-derivative coefficients, generated by
-    iterating the formal parameter derivative on w' = z' phi'."""
-    rows = []
-    current = Polynomial.var(jet(1, 1)) * Polynomial.var(phi(1))
-    rows.append(current)
+    iterating the formal parameter derivative on w' = z' phi'.  That
+    derivation sends z^(k) to z^(k+1) phi' and phi^(k) to phi^(k+1)."""
+    phi1 = Polynomial.var(phi(1))
+    derivation = VectorField(
+        {
+            **{jet(1, k): Polynomial.var(jet(1, k + 1)) * phi1 for k in range(1, n)},
+            **{phi(k): Polynomial.var(phi(k + 1)) for k in range(1, n)},
+        }
+    )
+    rows = [Polynomial.var(jet(1, 1)) * phi1]
     for _ in range(n - 1):
-        nxt = Polynomial.zero()
-        for v in current.variables():
-            if v[0] == JET:
-                succ = Polynomial.var(jet(v[1], v[2] + 1)) * Polynomial.var(phi(1))
-            elif v[0] == PHI:
-                succ = Polynomial.var(phi(v[1] + 1))
-            else:
-                continue
-            nxt = nxt + current.diff(v) * succ
-        rows.append(nxt)
-        current = nxt
+        rows.append(derivation.apply(rows[-1]))
     return tuple(rows)
 
 

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
+from .algebra import COEFF, JET, iter_terms
 from .analysis import (
     ReparamJet,
     invariance_check,
@@ -86,24 +87,22 @@ def _bool_item(name, ok: bool) -> dict:
     return {"name": name, "claimed": "True", "computed": str(bool(ok)), "ok": bool(ok)}
 
 
-def suite_equations(config: RunConfig) -> list:
+def suite_equations(config: RunConfig) -> tuple[list, dict]:
     ctx = config.context()
     items = []
     same = defining_equations_iterated(ctx) == defining_equations_partition_sum(ctx)
     items.append(_bool_item("iterated equals partition-sum route", same))
     eqs = defining_equations_iterated(ctx)
-    from jetframes.algebra import COEFF, JET
-
     linear = all(
-        sum(e for v, e in mono if v[0] == COEFF) <= 1 for eq in eqs for mono in eq.terms
+        sum(e for v, e in pairs if v[0] == COEFF) <= 1 for eq in eqs for pairs, _ in iter_terms(eq)
     )
     items.append(_bool_item("equations linear in the coefficients", linear))
 
-    def jet_weight(mono):
-        return sum(e * v[2] for v, e in mono if v[0] == JET)
+    def jet_weight(pairs):
+        return sum(e * v[2] for v, e in pairs if v[0] == JET)
 
     isobaric = all(
-        all(jet_weight(m) == kappa for m in eq.terms) for kappa, eq in enumerate(eqs)
+        all(jet_weight(pairs) == kappa for pairs, _ in iter_terms(eq)) for kappa, eq in enumerate(eqs)
     )
     items.append(_bool_item("order-k equation is isobaric of weight k", isobaric))
     expected_factors = {3: {((1, 1), (2, 1)): 3}, 4: {((1, 1), (3, 1)): 4, ((2, 2),): 3, ((1, 2), (2, 1)): 6}}
@@ -116,10 +115,10 @@ def suite_equations(config: RunConfig) -> list:
         }
         for shape, value in table.items():
             items.append(_item(f"chain-rule factor kappa={kappa} shape={shape}", value, got[shape]))
-    return items
+    return items, {}
 
 
-def suite_wronskian(config: RunConfig) -> list:
+def suite_wronskian(config: RunConfig) -> tuple[list, dict]:
     ctx = config.context()
     items = []
     for i in range(1, ctx.nvars + 1):
@@ -135,10 +134,10 @@ def suite_wronskian(config: RunConfig) -> list:
                 ok = False
                 break
         items.append(_bool_item(f"cramer solution satisfies its system ({label})", ok))
-    return items
+    return items, {}
 
 
-def suite_frames(config: RunConfig) -> list:
+def suite_frames(config: RunConfig) -> tuple[list, dict]:
     ctx = config.context()
     eqs = defining_equations_iterated(ctx)
     items = []
@@ -180,10 +179,10 @@ def suite_frames(config: RunConfig) -> list:
         items.append(_bool_item("jet field order-0 tangency divisible by E0", False))
     higher = all(jet_field.apply(eqs[k]).is_zero() for k in range(1, ctx.n + 1))
     items.append(_bool_item("jet field annihilates higher equations identically", higher))
-    return items
+    return items, {}
 
 
-def suite_pole_orders(config: RunConfig) -> list:
+def suite_pole_orders(config: RunConfig) -> tuple[list, dict]:
     ctx = config.context()
     report = verify_pole_table(ctx)
     items = [
@@ -198,10 +197,16 @@ def suite_pole_orders(config: RunConfig) -> list:
     mismatches = [r for r in report.rows if not r.match]
     for r in mismatches[:5]:
         items.append(_item(f"pole order {r.name}", r.claimed, r.computed))
-    return items, report
+    extra = {
+        "c_variant1": report.c_power,
+        "c_variant2": report.c_classical,
+        "classical_wronskian_alternate_claim": report.alternate_w_claim,
+        "classical_wronskian_alternate_matches": report.alternate_w_matches,
+    }
+    return items, extra
 
 
-def suite_span(config: RunConfig) -> list:
+def suite_span(config: RunConfig) -> tuple[list, dict]:
     ctx = config.context()
     items = []
     for variant, label in VARIANTS:
@@ -223,10 +228,10 @@ def suite_span(config: RunConfig) -> list:
                 [r.jacobian_rank for r in results],
             )
         )
-    return items
+    return items, {}
 
 
-def suite_invariance(config: RunConfig) -> list:
+def suite_invariance(config: RunConfig) -> tuple[list, dict]:
     import random
 
     ctx = config.context()
@@ -241,10 +246,10 @@ def suite_invariance(config: RunConfig) -> list:
                 offender = f.label
                 break
         items.append(_bool_item(f"frame invariant under reparametrization draw {t}", offender is None))
-    return items
+    return items, {}
 
 
-def suite_appendix(config: RunConfig) -> list:
+def suite_appendix(config: RunConfig) -> tuple[list, dict]:
     from jetframes.wronskian import power_wronskian_identity_holds
 
     items = []
@@ -252,28 +257,19 @@ def suite_appendix(config: RunConfig) -> list:
         items.append(
             _bool_item(f"determinant identity 1!..n!*(z')^(n(n+1)/2) at n={k}", power_wronskian_identity_holds(k))
         )
-    return items
+    return items, {}
 
 
-def _pole_orders_entry(config: RunConfig):
-    items, table_report = suite_pole_orders(config)
-    extra = {
-        "c_variant1": table_report.c_power,
-        "c_variant2": table_report.c_classical,
-        "classical_wronskian_alternate_claim": table_report.alternate_w_claim,
-        "classical_wronskian_alternate_matches": table_report.alternate_w_matches,
-    }
-    return items, extra
-
-
+# Every suite returns (items, extra): its checked items and the keys it adds
+# to its entry in the report.
 SUITES = {
-    "equations": lambda cfg: (suite_equations(cfg), {}),
-    "wronskian": lambda cfg: (suite_wronskian(cfg), {}),
-    "frames": lambda cfg: (suite_frames(cfg), {}),
-    "pole-orders": _pole_orders_entry,
-    "span": lambda cfg: (suite_span(cfg), {}),
-    "invariance": lambda cfg: (suite_invariance(cfg), {}),
-    "appendix": lambda cfg: (suite_appendix(cfg), {}),
+    "equations": suite_equations,
+    "wronskian": suite_wronskian,
+    "frames": suite_frames,
+    "pole-orders": suite_pole_orders,
+    "span": suite_span,
+    "invariance": suite_invariance,
+    "appendix": suite_appendix,
 }
 
 

@@ -28,11 +28,13 @@ from .algebra import (
     enumerate_exponents,
     falling_factorial,
     integer_bareiss,
+    iter_terms,
     jet,
     mat,
     mi_leq,
     mi_sub,
     mi_total,
+    sum_terms,
     unit_index,
 )
 from .jetspace import JetContext
@@ -206,20 +208,20 @@ class JetFieldTable:
         if self._parts is None:
             size = range(1, self.ctx.nvars + 1)
             # (k, l) -> (entry terms by key, top_factor terms)
-            split = {(k, l): ({}, {}) for k in size for l in size}
+            split = {(k, l): ({}, []) for k in size for l in size}
             for key, val in [*self.entries.items(), (None, self.top_factor)]:
-                for mono, c in val.terms.items():
-                    mats = [pair for pair in mono if pair[0][0] == MAT]
+                for pairs, c in iter_terms(val):
+                    mats = [pair for pair in pairs if pair[0][0] == MAT]
                     if len(mats) != 1 or mats[0][1] != 1:
-                        raise ValueError(f"table term {mono} is not linear in the matrix entries")
+                        raise ValueError(f"table term {pairs} is not linear in the matrix entries")
                     entries, top = split[mats[0][0][1:]]
-                    terms = top if key is None else entries.setdefault(key, {})
-                    terms[tuple(pair for pair in mono if pair not in mats)] = c
+                    terms = top if key is None else entries.setdefault(key, [])
+                    terms.append(([pair for pair in pairs if pair != mats[0]], c))
             self._parts = {
                 kl: JetFieldTable(
                     self.ctx,
-                    {key: Polynomial(terms) for key, terms in entries.items()},
-                    Polynomial(top),
+                    {key: sum_terms(terms) for key, terms in entries.items()},
+                    sum_terms(top),
                     self.block_dets,
                 )
                 for kl, (entries, top) in split.items()
@@ -230,18 +232,17 @@ class JetFieldTable:
         """The table at a numeric matrix: sum over (k, l) of
         linear_map[k-1][l-1] times the part of m(k, l)."""
         entries: dict = {}
-        top: dict = {}
+        top: list = []
         for (k, l), part in self.matrix_parts().items():
             lam = Fraction(linear_map[k - 1][l - 1])
             if not lam:
                 continue
             for key, val in [*part.entries.items(), (None, part.top_factor)]:
-                terms = top if key is None else entries.setdefault(key, {})
-                for mono, c in val.terms.items():
-                    terms[mono] = terms.get(mono, 0) + lam * c
-        polys = {key: Polynomial(terms) for key, terms in entries.items()}
+                terms = top if key is None else entries.setdefault(key, [])
+                terms.extend((pairs, lam * c) for pairs, c in iter_terms(val))
+        polys = {key: sum_terms(terms) for key, terms in entries.items()}
         nonzero = {key: p for key, p in polys.items() if not p.is_zero()}
-        return JetFieldTable(self.ctx, nonzero, Polynomial(top), dict(self.block_dets))
+        return JetFieldTable(self.ctx, nonzero, sum_terms(top), dict(self.block_dets))
 
 
 def _counts(js: Sequence[int], nvars: int) -> tuple:

@@ -20,12 +20,12 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .algebra import (
-    COORD,
     JET,
     IntegerPoint,
     IntegerPolynomial,
     Polynomial,
     Variable,
+    VectorField,
     coeff,
     coord,
     enumerate_exponents,
@@ -34,6 +34,7 @@ from .algebra import (
     mi_total,
     rank_rational,
     solve_linear_exact,
+    sum_terms,
     unit_index,
     var_name,
 )
@@ -123,41 +124,25 @@ def _coeff_exponents(ctx: JetContext) -> tuple:
     return tuple(a for a in exps if a != ctx.normalized_exponent)
 
 
+@lru_cache(maxsize=None)
+def _total_derivation(ctx: JetContext) -> VectorField:
+    """D = sum_k sum_(lam < n) z_k^(lam+1) d/dz_k^(lam), with z_k^(0) = z_k."""
+    directions = {}
+    for i in range(1, ctx.nvars + 1):
+        directions[coord(i)] = Polynomial.var(jet(i, 1))
+        for lam in range(1, ctx.n):
+            directions[jet(i, lam)] = Polynomial.var(jet(i, lam + 1))
+    return VectorField(directions)
+
+
 def total_derivative(p: Polynomial, ctx: JetContext) -> Polynomial:
     """Apply the total differentiation operator: z_k^(lam) -> z_k^(lam+1),
     with coordinates counting as order-0 jets.  Inputs touching order-n jets
     are rejected, since the result would leave the order-n universe."""
-    out: dict = {}
-    n = ctx.n
-    for m, c in p.terms.items():
-        for idx, (v, e) in enumerate(m):
-            kind = v[0]
-            if kind == COORD:
-                succ = jet(v[1], 1)
-            elif kind == JET:
-                if v[2] >= n:
-                    raise ValueError(
-                        f"total derivative of {var_name(v)} leaves the order-{n} jet space"
-                    )
-                succ = jet(v[1], v[2] + 1)
-            else:
-                continue
-            if e == 1:
-                base = m[:idx] + m[idx + 1:]
-            else:
-                base = m[:idx] + ((v, e - 1),) + m[idx + 1:]
-            # merge the successor variable into the monomial
-            nm = dict(base)
-            nm[succ] = nm.get(succ, 0) + 1
-            key = tuple(sorted(nm.items()))
-            s = out.get(key, 0) + c * e
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    q = Polynomial()
-    q.terms = out
-    return q
+    top = [v for v in p.variables() if v[0] == JET and v[2] >= ctx.n]
+    if top:
+        raise ValueError(f"total derivative of {var_name(min(top))} leaves the order-{ctx.n} jet space")
+    return _total_derivation(ctx).apply(p)
 
 
 def iterated_total_derivative(p: Polynomial, order: int, ctx: JetContext) -> Polynomial:
@@ -174,8 +159,11 @@ def power_chain(ctx: JetContext, chart: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def monomial_jet_entry(ctx: JetContext, beta: tuple, kappa: int) -> Polynomial:
-    """D^kappa(z^beta): the entry of a Cramer system matrix at row kappa, column beta."""
-    return iterated_total_derivative(ctx.monomial_z(beta), kappa, ctx)
+    """D^kappa(z^beta): the entry of a Cramer system matrix at row kappa,
+    column beta, and the one home of these derivatives (kappa >= 0)."""
+    if kappa == 0:
+        return ctx.monomial_z(beta)
+    return total_derivative(monomial_jet_entry(ctx, beta, kappa - 1), ctx)
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +238,7 @@ def defining_equations_partition_sum(ctx: JetContext) -> tuple:
     all_alphas = list(ctx.coeff_exponents) + [ctx.normalized_exponent]
     eqs = [universal_polynomial(ctx)]
     for kappa in range(1, ctx.n + 1):
-        terms: dict = {}
+        terms: list = []
         shapes = jet_weight_partitions(kappa)
         for alpha in all_alphas:
             avar = None if alpha == ctx.normalized_exponent else ctx.coeff_var(alpha)
@@ -266,18 +254,11 @@ def defining_equations_partition_sum(ctx: JetContext) -> tuple:
                         rem = list(alpha)
                         for j, k in counts.items():
                             rem[j - 1] -= k
-                        pairs = [(coord(j), e) for j, e in enumerate(rem, start=1) if e]
+                        # the blocks have distinct orders: one pair per jet variable
+                        pairs = [(coord(j), e) for j, e in enumerate(rem, start=1)] + jet_pairs
                         if avar is not None:
                             pairs.append((avar, 1))
-                        mono_map: dict = dict(pairs)
-                        for jv, je in jet_pairs:
-                            mono_map[jv] = mono_map.get(jv, 0) + je
-                        key = tuple(sorted(mono_map.items()))
-                        val = terms.get(key, 0) + base * tuple_count * dcoeff
-                        if val:
-                            terms[key] = val
-                        else:
-                            del terms[key]
+                        terms.append((pairs, base * tuple_count * dcoeff))
                         return
                     lam, mu = orders[block], mults[block]
                     for combo in combinations_with_replacement(support, mu):
@@ -294,9 +275,7 @@ def defining_equations_partition_sum(ctx: JetContext) -> tuple:
                         assign(block + 1, new_counts, new_jets, tuple_count * ways)
 
                 assign(0, {}, [], 1)
-        p = Polynomial()
-        p.terms = terms
-        eqs.append(p)
+        eqs.append(sum_terms(terms))
     return tuple(eqs)
 
 

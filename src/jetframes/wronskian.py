@@ -30,7 +30,7 @@ from .algebra import (
     mi_total,
     unit_index,
 )
-from .jetspace import JetContext, iterated_total_derivative, monomial_jet_entry, power_chain
+from .jetspace import JetContext, monomial_jet_entry, power_chain
 
 VARIANT_POWER = 1
 VARIANT_CLASSICAL = 2
@@ -125,7 +125,7 @@ def cramer_coefficients(
     matrix = system_matrix(solved, ctx)
     scale = system_determinant(solved, ctx)
     za = ctx.monomial_z(alpha)
-    column = [iterated_total_derivative(za, kappa, ctx) for kappa in range(1, ctx.n + 1)]
+    column = [monomial_jet_entry(ctx, alpha, kappa) for kappa in range(1, ctx.n + 1)]
     bs = []
     for k in range(ctx.n):
         replaced = [row[:k] + [column[kappa]] + row[k + 1:] for kappa, row in enumerate(matrix)]
@@ -146,7 +146,7 @@ def cramer_system_residuals(coeffs: CramerCoefficients, ctx: JetContext) -> list
         row0 = row0 - bk * ctx.monomial_z(beta)
     rows = [row0]
     for kappa, entries in enumerate(system_matrix(coeffs.solved, ctx), start=1):
-        row = coeffs.scale * iterated_total_derivative(za, kappa, ctx)
+        row = coeffs.scale * monomial_jet_entry(ctx, coeffs.alpha, kappa)
         for bk, col in zip(coeffs.b[1:], entries):
             row = row - bk * col
         rows.append(row)

@@ -30,6 +30,7 @@ from jetframes.algebra import (
     Polynomial,
     coord,
     enumerate_exponents,
+    iter_terms,
     mi_sub,
     mi_total,
     phi,
@@ -86,7 +87,7 @@ def _degrees(mono) -> tuple:
 def _is_bilinear(p: Polynomial) -> bool:
     """Every monomial has degree <= 1 in the coefficients (the chart sets
     a_(d,0,...,0) = 1) and degree exactly 1 in the matrix entries."""
-    return all(a <= 1 and m == 1 for a, m in map(_degrees, p.terms))
+    return all(a <= 1 and m == 1 for a, m in (_degrees(pairs) for pairs, _ in iter_terms(p)))
 
 
 def _report(name: str, budget: float | None, start: float, ok: bool = True) -> None:
@@ -200,7 +201,7 @@ def test_criterion_04_jet_linear_tangency_and_table():
                 key = (mi_sub(rho, beta), beta)
                 seen.add(key)
                 entry = table.get(*key)
-                for mono in entry.terms:
+                for mono, _ in iter_terms(entry):
                     a_deg, m_deg = _degrees(mono)
                     assert m_deg == 1, (n, d, key)
                     max_a_deg = max(max_a_deg, a_deg)

@@ -1,9 +1,12 @@
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import jetframes
 from jetframes.algebra import (
     COEFF,
     InconsistentSystem,
@@ -16,6 +19,7 @@ from jetframes.algebra import (
     det_cofactor,
     determinant,
     enumerate_exponents,
+    iter_terms,
     jet,
     rank_modular,
     rank_rational,
@@ -61,7 +65,7 @@ def test_multinomial_expansion_coefficient():
             pair for pair in (((coord(1), k)) , ((coord(2), 3 - k))) if pair[1] > 0
         )
         expected[tuple(sorted(mono))] = c
-    assert p.terms == expected
+    assert dict(iter_terms(p)) == expected
     assert p.coefficient(((coord(1), 2), (coord(2), 1))) == 3
 
 
@@ -439,3 +443,18 @@ def test_enumerate_exponents_graded_lex():
 def test_binomial_product():
     assert binomial_product((2, 2, 0, 0), (1, 1, 0, 0)) == 4
     assert binomial_product((3, 1), (2, 0)) == 3
+
+
+def test_only_algebra_reads_polynomial_terms():
+    # the stored monomial format is private to algebra: every other module
+    # reads and builds polynomials through iter_terms and sum_terms
+    package = pathlib.Path(jetframes.__file__).parent
+    modules = sorted(path for path in package.glob("*.py") if path.name != "algebra.py")
+    assert len(modules) >= 6
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    ]
+    assert not offenders

@@ -10,6 +10,7 @@ from jetframes.algebra import (
     Polynomial,
     VectorField,
     coord,
+    iter_terms,
     jet,
     mat,
     mi_sub,
@@ -224,7 +225,7 @@ def test_jet_table_degree_structure_and_vanishing_rule():
     saw_quadratic = False
     for (alpha, beta), entry in table.entries.items():
         assert mi_total(alpha) + mi_total(beta) <= ctx.d
-        for mono in entry.terms:
+        for mono, _ in iter_terms(entry):
             a_deg = sum(e for v, e in mono if v[0] == COEFF)
             m_deg = sum(e for v, e in mono if v[0] == MAT)
             assert m_deg <= 1
@@ -236,7 +237,7 @@ def test_jet_table_degree_structure_and_vanishing_rule():
     for k in range(1, ctx.n + 1):
         beta = tuple(k if i == 0 else 0 for i in range(ctx.nvars))
         entry = table.get(mi_sub(top, beta), beta)
-        for mono in entry.terms:
+        for mono, _ in iter_terms(entry):
             assert sum(e for v, e in mono if v[0] == COEFF) <= 1
     # rule: zero whenever |alpha| + |beta| >= d + 1
     for alpha in enumerate_exponents(ctx.nvars, ctx.d):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jetframes import jetspace
-from jetframes.algebra import JET, Polynomial, coord, jet
+from jetframes.algebra import JET, Polynomial, coord, iter_terms, jet
 from jetframes.jetspace import (
     JetContext,
     defining_equations_iterated,
@@ -129,7 +129,7 @@ def test_total_derivative_matches_curve_differentiation():
         for kappa in (1, 2):
             dk = iterated_total_derivative(p, kappa, ctx)
             series = [Fraction(1)] + [Fraction(0)] * kappa
-            for v, e in next(iter(p.terms)):
+            for v, e in next(iter_terms(p))[0]:
                 lam = 0 if v[0] == 0 else v[2]
                 s = _taylor_series_for(point, v[1], lam, kappa, ctx.n)
                 for _ in range(e):
@@ -252,6 +252,35 @@ def test_partition_sum_route_matches_iterated():
         assert defining_equations_partition_sum(ctx) == defining_equations_iterated(ctx)
 
 
+@pytest.mark.parametrize("ctx", [JetContext(1, 2), CTX23], ids=["1-2", "2-3"])
+def test_iterated_equations_match_sympy_derivatives(ctx):
+    # independent oracle: E_kappa is the kappa-th t-derivative of E_0 along
+    # the curve z_i(t), with z_i^(lam) standing for d^lam z_i / dt^lam
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    curve = [sympy.Function(f"z{i}")(t) for i in range(1, ctx.nvars + 1)]
+    symbols = {}
+
+    def symbol(v):
+        return symbols.setdefault(v, sympy.Symbol(f"v{len(symbols)}"))
+
+    def to_sympy(p):
+        return sympy.Add(*(c * sympy.Mul(*(symbol(v) ** e for v, e in mono)) for mono, c in iter_terms(p)))
+
+    e0 = curve[0] ** ctx.d + sympy.Add(
+        *(symbol(v) * sympy.Mul(*(z**e for z, e in zip(curve, alpha))) for v, alpha in zip(ctx.coeff_vars, ctx.coeff_exponents))
+    )
+    # the highest derivatives first, so that z_i(t) inside them stays intact
+    to_jets = [
+        (sympy.diff(curve[i - 1], t, lam), symbol(jet(i, lam)))
+        for lam in range(ctx.n, 0, -1)
+        for i in range(1, ctx.nvars + 1)
+    ] + [(curve[i - 1], symbol(coord(i))) for i in range(1, ctx.nvars + 1)]
+    for kappa, eq in enumerate(defining_equations_iterated(ctx)):
+        reference = sympy.diff(e0, t, kappa).subs(to_jets)
+        assert sympy.expand(reference - to_sympy(eq)) == 0, kappa
+
+
 def test_equations_linear_in_coefficients():
     eqs = defining_equations_iterated(CTX23)
     for eq in eqs:
@@ -264,7 +293,7 @@ def test_equations_linear_in_coefficients():
 def test_equations_isobaric_weight():
     eqs = defining_equations_iterated(CTX23)
     for kappa, eq in enumerate(eqs):
-        for mono in eq.terms:
+        for mono, _ in iter_terms(eq):
             assert jet_weight(mono) == kappa
 
 

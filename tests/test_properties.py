@@ -18,9 +18,11 @@ from jetframes.algebra import (  # noqa: E402
     coord,
     det_cofactor,
     enumerate_exponents,
+    iter_terms,
     jet,
     mat,
     solve_linear_exact,
+    sum_terms,
     unit_index,
 )
 from jetframes.jetspace import JetContext, monomial_series  # noqa: E402
@@ -39,11 +41,23 @@ polynomials = st.lists(st.tuples(monomials, scalars), max_size=8).map(
 )
 
 
+def _power_rule_partial(p, v):
+    """dp/dv term by term, the reference for the derivation kernel: a term
+    c * v^e * rest gives c * e * v^(e-1) * rest."""
+    total = Polynomial()
+    for mono, c in iter_terms(p):
+        e = dict(mono).get(v, 0)
+        if e:
+            total = total + Polynomial.monomial([(w, f - (w == v)) for w, f in mono], c * e)
+    return total
+
+
 @settings(max_examples=200, deadline=None)
 @given(polynomials)
 def test_gradient_equals_every_nonzero_partial(p):
-    expected = {v: p.diff(v) for v in VARIABLES if not p.diff(v).is_zero()}
-    assert p.gradient(p.variables()) == expected
+    partials = {v: _power_rule_partial(p, v) for v in VARIABLES}
+    assert p.gradient(p.variables()) == {v: d for v, d in partials.items() if not d.is_zero()}
+    assert all(p.diff(v) == d for v, d in partials.items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -55,7 +69,59 @@ def test_restricted_gradient_keeps_only_the_named_variables(p, subset):
 def test_gradient_normalizes_integral_coefficients():
     p = Polynomial.var(coord(1), 2, Fraction(1, 2))
     (d,) = p.gradient(p.variables()).values()
-    assert d == Polynomial.var(coord(1)) and type(d.terms[((coord(1), 1),)]) is int
+    assert d == Polynomial.var(coord(1)) and type(d.coefficient([(coord(1), 1)])) is int
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, polynomials, polynomials)
+def test_ring_axioms(p, q, r):
+    zero, one = Polynomial(), Polynomial.const(1)
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and (p * zero).is_zero()
+    assert (p + (-p)).is_zero() and p - q == p + (-q)
+
+
+# bindings stay small, so that substituting twice keeps few terms
+small_polynomials = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from(VARIABLES), st.integers(min_value=1, max_value=2)),
+            max_size=2,
+            unique_by=lambda pair: pair[0],
+        ),
+        scalars,
+    ),
+    max_size=3,
+).map(lambda terms: sum((Polynomial.monomial(m, c) for m, c in terms), Polynomial()))
+bindings = st.dictionaries(st.sampled_from(VARIABLES), small_polynomials, max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials, bindings, bindings)
+def test_substitutions_compose(p, first, second):
+    # substituting first, then second, is substituting v -> first[v] after second
+    composed = {v: b.subs(second) for v, b in first.items()}
+    composed.update({v: b for v, b in second.items() if v not in first})
+    assert p.subs(first).subs(second) == p.subs(composed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(monomials, scalars), max_size=8), st.randoms(use_true_random=False))
+def test_sum_terms_ignores_order_and_splitting(terms, rnd):
+    expected = sum((Polynomial.monomial(m, c) for m, c in terms), Polynomial())
+    pieces = []
+    for mono, c in terms:
+        cut = Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+        shuffled = list(mono)
+        rnd.shuffle(shuffled)
+        pieces += [(shuffled, c - cut), (mono[::-1], cut)]
+    rnd.shuffle(pieces)
+    assert sum_terms(terms) == sum_terms(pieces) == expected
+    assert sum_terms(iter_terms(expected)) == expected
+    # the read view gives sorted pairs and nonzero coefficients
+    assert all(list(mono) == sorted(mono) and c != 0 for mono, c in iter_terms(expected))
 
 
 fields = st.dictionaries(st.sampled_from(VARIABLES), polynomials, max_size=3).map(VectorField)
