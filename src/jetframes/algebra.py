@@ -809,6 +809,24 @@ def determinant(matrix: Sequence[Sequence]) -> Polynomial:
     return _det_laplace(rows)
 
 
+def adjugate(matrix: Sequence[Sequence]) -> list:
+    """The adjugate: adj[k][r] is (-1)^(k+r) times the determinant of the
+    matrix without row r and column k, so adj M = M adj = det(M) I and the
+    Cramer solution of M x = c is x_k = sum_r adj[k][r] c_r.  A 1 x 1
+    matrix has adjugate [[1]]."""
+    rows = [[_as_poly(x) for x in row] for row in matrix]
+    _require_square(rows)
+    size = len(rows)
+    if size == 1:
+        return [[ONE]]
+    adj = []
+    for k in range(size):
+        cut = [row[:k] + row[k + 1:] for row in rows]
+        minors = [determinant(cut[:r] + cut[r + 1:]) for r in range(size)]
+        adj.append([-m if (k + r) % 2 else m for r, m in enumerate(minors)])
+    return adj
+
+
 def _require_square(m) -> None:
     k = len(m)
     if k == 0 or any(len(row) != k for row in m):

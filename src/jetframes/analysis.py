@@ -27,9 +27,9 @@ from .algebra import (
     VectorField,
     Variable,
     _integer_rows,
+    adjugate,
     common_integer_forms,
     coord,
-    integer_bareiss,
     iter_terms,
     jet,
     mi_total,
@@ -255,17 +255,14 @@ def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345)
         base_order = n * (n + 1) // 2 + sum(map(mi_total, solved))
         base_cols = [column(beta) for beta in solved]
         row0 = [series[beta][0] for beta in solved]
-        scale_val = integer_bareiss([[col[r] for col in base_cols] for r in range(n)])[1]
+        adj = [[x.constant_value() for x in row] for row in adjugate(list(zip(*base_cols)))]
+        # (adj M)[0][0] = det M
+        scale_val = sum(a * c for a, c in zip(adj[0], base_cols[0]))
         for alpha in admissible_coefficient_exponents(variant, ctx, 1):
             la = mi_total(alpha)
             alpha_col = column(alpha)
-            b_values = []
-            for k in range(1, n + 1):
-                matrix = [
-                    [alpha_col[r] if c == k - 1 else base_cols[c][r] for c in range(n)]
-                    for r in range(n)
-                ]
-                b_values.append(integer_bareiss(matrix)[1])
+            # Cramer's rule: B_k is row k of adj times the column of z^alpha
+            b_values = [sum(a * c for a, c in zip(row, alpha_col)) for row in adj]
             # B_k drops the column of beta_k (beta_0 = 0 for the order-0 row)
             claimed = [la + base_order - mi_total(beta) for beta in ((0,) * ctx.nvars, *solved)]
             b0_value = scale_val * series[alpha][0] - sum(bv * rv for bv, rv in zip(b_values, row0))

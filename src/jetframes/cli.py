@@ -44,6 +44,7 @@ from .wronskian import (
     cramer_system_residuals,
     power_wronskian,
     power_wronskian_closed_form,
+    power_wronskian_identity_holds,
 )
 
 SCHEMA_VERSION = "1"
@@ -250,8 +251,6 @@ def suite_invariance(config: RunConfig) -> tuple[list, dict]:
 
 
 def suite_appendix(config: RunConfig) -> tuple[list, dict]:
-    from jetframes.wronskian import power_wronskian_identity_holds
-
     items = []
     for k in range(1, config.n + 1):
         items.append(

@@ -20,7 +20,6 @@ from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 from .algebra import (
-    MAT,
     Polynomial,
     VectorField,
     binomial_product,
@@ -28,14 +27,13 @@ from .algebra import (
     enumerate_exponents,
     falling_factorial,
     integer_bareiss,
-    iter_terms,
     jet,
     mat,
     mi_leq,
     mi_sub,
     mi_total,
-    sum_terms,
     unit_index,
+    var_name,
 )
 from .jetspace import JetContext
 from .wronskian import VARIANT_POWER, cramer_coefficients, excluded_exponents
@@ -72,7 +70,7 @@ def coefficient_field(
 
 def admissible_coefficient_exponents(variant: int, ctx: JetContext, chart: int | None = None):
     excl = excluded_exponents(variant, ctx, chart)
-    return [a for a in enumerate_exponents(ctx.nvars, ctx.n) if a not in excl]
+    return [a for a in _jet_exponents(ctx) if a not in excl]
 
 
 def canonical_shift_budget(alpha, ctx: JetContext) -> tuple:
@@ -91,12 +89,12 @@ def canonical_shift_budget(alpha, ctx: JetContext) -> tuple:
 
 
 def canonical_shifted_fields(ctx: JetContext) -> list:
-    """One shifted field per long exponent (n + 1 <= |alpha| <= d, alpha_0 < d),
-    each with its canonical shift budget."""
+    """One shifted field per long coefficient slot (n + 1 <= |alpha|), each
+    with its canonical shift budget."""
     return [
         shifted_coefficient_field(alpha, canonical_shift_budget(alpha, ctx), ctx)
-        for alpha in enumerate_exponents(ctx.nvars, ctx.d)
-        if ctx.n + 1 <= mi_total(alpha) and alpha[0] < ctx.d
+        for alpha in ctx.coeff_exponents
+        if ctx.n + 1 <= mi_total(alpha)
     ]
 
 
@@ -185,7 +183,6 @@ class JetFieldTable:
         self.entries = entries  # (alpha, beta) -> Polynomial
         self.top_factor = top_factor  # quotient of the order-0 tangency by E_0
         self.block_dets = block_dets  # rho -> integer determinant of the block
-        self._parts = None
 
     def get(self, alpha, beta) -> Polynomial:
         return self.entries.get((tuple(alpha), tuple(beta)), Polynomial.zero())
@@ -200,49 +197,14 @@ class JetFieldTable:
                 total = total + entry * self.ctx.monomial_z(beta)
         return total
 
-    def matrix_parts(self) -> dict:
-        """{(k, l): the table of d/dm(k,l)}, split from the terms in one pass.
-        The table is linear in the matrix entries, so the part of (k, l) is
-        the table at the elementary matrix E_kl; a term of any other shape
-        raises ValueError."""
-        if self._parts is None:
-            size = range(1, self.ctx.nvars + 1)
-            # (k, l) -> (entry terms by key, top_factor terms)
-            split = {(k, l): ({}, []) for k in size for l in size}
-            for key, val in [*self.entries.items(), (None, self.top_factor)]:
-                for pairs, c in iter_terms(val):
-                    mats = [pair for pair in pairs if pair[0][0] == MAT]
-                    if len(mats) != 1 or mats[0][1] != 1:
-                        raise ValueError(f"table term {pairs} is not linear in the matrix entries")
-                    entries, top = split[mats[0][0][1:]]
-                    terms = top if key is None else entries.setdefault(key, [])
-                    terms.append(([pair for pair in pairs if pair != mats[0]], c))
-            self._parts = {
-                kl: JetFieldTable(
-                    self.ctx,
-                    {key: sum_terms(terms) for key, terms in entries.items()},
-                    sum_terms(top),
-                    self.block_dets,
-                )
-                for kl, (entries, top) in split.items()
-            }
-        return self._parts
-
     def substitute_matrix(self, linear_map) -> "JetFieldTable":
-        """The table at a numeric matrix: sum over (k, l) of
-        linear_map[k-1][l-1] times the part of m(k, l)."""
-        entries: dict = {}
-        top: list = []
-        for (k, l), part in self.matrix_parts().items():
-            lam = Fraction(linear_map[k - 1][l - 1])
-            if not lam:
-                continue
-            for key, val in [*part.entries.items(), (None, part.top_factor)]:
-                terms = top if key is None else entries.setdefault(key, [])
-                terms.extend((pairs, lam * c) for pairs, c in iter_terms(val))
-        polys = {key: sum_terms(terms) for key, terms in entries.items()}
+        """The table at a numeric matrix: every m(k, l) bound to
+        linear_map[k-1][l-1]."""
+        size = range(1, self.ctx.nvars + 1)
+        binds = {mat(k, l): Fraction(linear_map[k - 1][l - 1]) for k in size for l in size}
+        polys = {key: p.subs(binds) for key, p in self.entries.items()}
         nonzero = {key: p for key, p in polys.items() if not p.is_zero()}
-        return JetFieldTable(self.ctx, nonzero, sum_terms(top), dict(self.block_dets))
+        return JetFieldTable(self.ctx, nonzero, self.top_factor.subs(binds), dict(self.block_dets))
 
 
 def _counts(js: Sequence[int], nvars: int) -> tuple:
@@ -338,7 +300,7 @@ def _solve_symbolic_table(ctx: JetContext) -> JetFieldTable:
     block_dets: dict = {}
     top_factor = Polynomial.zero()
 
-    rhos = [top_rho] + [r for r in enumerate_exponents(ctx.nvars, ctx.d) if r != top_rho]
+    rhos = [top_rho, *ctx.coeff_exponents]
     for rho in rhos:
         unknowns, rows, keys = jet_field_block(ctx, rho)
         if not unknowns:
@@ -399,6 +361,23 @@ def elementary_matrix(k: int, l: int, size: int):
     return [[1 if (r == k - 1 and c == l - 1) else 0 for c in range(size)] for r in range(size)]
 
 
+def matrix_partials(field: VectorField, size: int) -> dict:
+    """{(k, l): the derivative of field in m(k, l)} for a field whose
+    directions are linear in the entries of a size x size matrix, so that
+    the part of m(k, l) is the field at the elementary matrix E_kl.  The
+    Euler field sum m(k, l) d/dm(k, l) fixes a direction exactly when each
+    of its terms has degree 1 in the entries; any other raises ValueError."""
+    entries = [mat(k, l) for k in range(1, size + 1) for l in range(1, size + 1)]
+    euler = VectorField({m: Polynomial.var(m) for m in entries})
+    parts: dict = {m: {} for m in entries}
+    for v, c in field.items():
+        if euler.apply(c) != c:
+            raise ValueError(f"the d/d{var_name(v)} direction is not linear in the matrix entries")
+        for m, dc in c.gradient(euler.coeffs).items():
+            parts[m][v] = dc
+    return {m[1:]: VectorField(directions) for m, directions in parts.items()}
+
+
 def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWER) -> list:
     """The full candidate frame, deterministically ordered: all admissible
     coefficient fields, one canonical shifted field per long exponent, every
@@ -409,9 +388,9 @@ def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWE
     fields += canonical_shifted_fields(ctx)
     for i in range(1, ctx.nvars + 1):
         fields.append(coordinate_field(i, ctx))
-    parts = _solve_symbolic_table(ctx).matrix_parts()
-    for k in range(1, ctx.nvars + 1):
-        for l in range(1, ctx.nvars + 1):
-            # the table is linear in M, so E_kl's table is the part of m(k, l)
-            fields.append(jet_linear_field(elementary_matrix(k, l, ctx.nvars), ctx, table=parts[(k, l)]))
+    # the field is linear in M, so E_kl's field is its derivative in m(k, l)
+    symbolic = jet_linear_field(None, ctx).field
+    for (k, l), part in matrix_partials(symbolic, ctx.nvars).items():
+        label = f"jet[{_matrix_label(elementary_matrix(k, l, ctx.nvars))}]"
+        fields.append(FrameField(kind="jet_linear", label=label, field=part))
     return fields

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from .algebra import (
     Polynomial,
+    adjugate,
     determinant,
     jet,
     mi_total,
@@ -68,6 +69,11 @@ def system_determinant(solved: tuple, ctx: JetContext) -> Polynomial:
     return determinant(system_matrix(solved, ctx))
 
 
+@lru_cache(maxsize=None)
+def system_adjugate(solved: tuple, ctx: JetContext) -> list:
+    return adjugate(system_matrix(solved, ctx))
+
+
 def power_wronskian(i: int, ctx: JetContext) -> Polynomial:
     """Determinant of the power-Wronskian matrix in chart i."""
     if not 1 <= i <= ctx.nvars:
@@ -100,8 +106,9 @@ class CramerCoefficients:
     """The solved column multipliers: b = [B_0, B_1, ..., B_n].
 
     For k >= 1, B_k is the system determinant with the column of slot
-    solved[k-1] replaced by the column of total derivatives of z^alpha; B_0
-    closes the order-0 row.
+    solved[k-1] replaced by the column of total derivatives of z^alpha, that
+    is row k of the system's adjugate times that column; B_0 closes the
+    order-0 row.
     """
 
     solved: tuple
@@ -114,22 +121,19 @@ def cramer_coefficients(
     variant: int, alpha, ctx: JetContext, chart: int | None = None
 ) -> CramerCoefficients:
     """Solve the tangency system for the coefficient field attached to alpha
-    by direct column-replacement determinants (Cramer's rule; the scale
-    factor in front of the alpha-direction cancels the system determinant)."""
+    by Cramer's rule, B = adj(M) times the column of D^kappa(z^alpha) (the
+    scale factor in front of the alpha-direction cancels the system
+    determinant)."""
     alpha = tuple(alpha)
     if mi_total(alpha) > ctx.n:
         raise ValueError(f"|alpha| must be <= n, got {alpha}")
     if alpha in excluded_exponents(variant, ctx, chart):
         raise ValueError(f"{alpha} indexes a solved coefficient slot")
     solved = solved_exponents(variant, ctx, chart)
-    matrix = system_matrix(solved, ctx)
     scale = system_determinant(solved, ctx)
     za = ctx.monomial_z(alpha)
     column = [monomial_jet_entry(ctx, alpha, kappa) for kappa in range(1, ctx.n + 1)]
-    bs = []
-    for k in range(ctx.n):
-        replaced = [row[:k] + [column[kappa]] + row[k + 1:] for kappa, row in enumerate(matrix)]
-        bs.append(determinant(replaced))
+    bs = [sum(a * c for a, c in zip(row, column)) for row in system_adjugate(solved, ctx)]
     # the order-0 row: B_0 + sum_k B_k z^beta_k = scale * z^alpha
     b0 = scale * za
     for bk, beta in zip(bs, solved):

@@ -2,6 +2,7 @@ import ast
 import math
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from jetframes.algebra import (
     Polynomial,
     UnderdeterminedSystem,
     VectorField,
+    adjugate,
     binomial_product,
     coeff,
     coord,
@@ -458,3 +460,50 @@ def test_only_algebra_reads_polynomial_terms():
         if isinstance(node, ast.Attribute) and node.attr == "terms"
     ]
     assert not offenders
+
+
+def test_runtime_imports_only_the_standard_library():
+    # sympy and hypothesis are test oracles: no module of the package may
+    # import anything outside the standard library (relative imports aside)
+    package = pathlib.Path(jetframes.__file__).parent
+    imported = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert {"math", "fractions", "argparse"} <= {module for _, module in imported}
+    offenders = sorted(f"{name}: {module}" for name, module in imported if module not in sys.stdlib_module_names)
+    assert not offenders
+
+
+def test_adjugate_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+
+    def to_sympy(p):
+        return sympy.Add(
+            *(
+                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(sympy.Symbol(var_name(v)) ** e for v, e in mono))
+                for mono, c in iter_terms(p)
+            )
+        )
+
+    integer = [[[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)] for size in (1, 2, 3, 5, 7)]
+    polynomial = [
+        [[rand_poly(rng, nvars=2, nterms=2, max_exp=2) for _ in range(size)] for _ in range(size)]
+        for size in (1, 2, 3, 4)
+    ]
+    for m in integer + polynomial:
+        m = [[Polynomial.const(x) if isinstance(x, int) else x for x in row] for row in m]
+        size = len(m)
+        adj = adjugate(m)
+        reference = sympy.Matrix([[to_sympy(x) for x in row] for row in m]).adjugate()
+        assert sympy.expand(sympy.Matrix([[to_sympy(x) for x in row] for row in adj]) - reference).is_zero_matrix
+        det = determinant(m)
+        for i in range(size):
+            for j in range(size):
+                expected = det if i == j else Polynomial.zero()
+                assert sum(adj[i][r] * m[r][j] for r in range(size)) == expected
+                assert sum(m[i][r] * adj[r][j] for r in range(size)) == expected

@@ -82,6 +82,15 @@ def test_full_run_passes_and_validates(capsys):
     ]
 
 
+def test_default_run_at_n1_passes(capsys):
+    # at n = 1 every Cramer system is 1 x 1, with adjugate [[1]]
+    code, report, _ = run_json(capsys, ["--n", "1", "--d", "2"])
+    assert code == 0
+    assert report["ok"] is True
+    validate_report(report)
+    assert len(report["suites"]) == len(SUITES)
+
+
 def _strip_timing(report):
     clone = json.loads(json.dumps(report))
     for suite in clone["suites"]:

@@ -27,6 +27,7 @@ from jetframes.frames import (
     enumerate_frame,
     jet_field_block,
     jet_linear_field,
+    matrix_partials,
     shift_split_identity,
     shifted_coefficient_field,
     solve_jet_field_coefficients,
@@ -429,14 +430,21 @@ def test_jet_linear_fields_from_linearity_match_substitution(ctx):
 def test_matrix_parts_reject_a_table_not_linear_in_the_matrix():
     ctx = CTX23
     m11, m12 = Polynomial.var(mat(1, 1)), Polynomial.var(mat(1, 2))
-    a = Polynomial.var(ctx.coeff_var((0, 0, 0)))
+    a0 = ctx.coeff_var((0, 0, 0))
+    a = Polynomial.var(a0)
     for bad in (m11 * m12, a, m11 * m11, Polynomial.const(1) + m11):
         table = JetFieldTable(ctx, {((0, 0, 0), (0, 0, 0)): a * m11 + bad}, m12, {})
         with pytest.raises(ValueError, match="not linear"):
-            table.matrix_parts()
+            matrix_partials(jet_linear_field(None, ctx, table=table).field, ctx.nvars)
     good = JetFieldTable(ctx, {((0, 0, 0), (0, 0, 0)): 3 * a * m11 + m12}, m12, {})
-    parts = good.matrix_parts()
+    parts = matrix_partials(jet_linear_field(None, ctx, table=good).field, ctx.nvars)
     assert sorted(parts) == [(k, l) for k in (1, 2, 3) for l in (1, 2, 3)]
-    assert parts[(1, 1)].entries == {((0, 0, 0), (0, 0, 0)): 3 * a}
-    assert parts[(2, 1)].entries == {} and parts[(2, 1)].top_factor.is_zero()
-    assert parts[(1, 1)].top_factor.is_zero() and parts[(1, 2)].top_factor == 1
+    for (k, l), part in parts.items():
+        coeffs = {v: c for v, c in part.items() if v[0] == COEFF}
+        assert coeffs == {(1, 1): {a0: 3 * a}, (1, 2): {a0: Polynomial.const(1)}}.get((k, l), {})
+        jets = {v: c for v, c in part.items() if v[0] != COEFF}
+        assert jets == {jet(k, lam): Polynomial.var(jet(l, lam)) for lam in (1, 2)}
+        # the part is the table at E_kl, whose top factor is m12's coefficient
+        at_ekl = good.substitute_matrix(elementary_matrix(k, l, 3))
+        assert at_ekl.top_factor == (1 if (k, l) == (1, 2) else 0)
+        assert at_ekl.entries == ({((0, 0, 0), (0, 0, 0)): coeffs[a0]} if coeffs else {})

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from jetframes.algebra import Polynomial, coord, determinant, jet
+from jetframes.algebra import Polynomial, coord, determinant, iter_terms, jet
 from jetframes.jetspace import JetContext, iterated_total_derivative, power_chain
 from jetframes.wronskian import (
     VARIANT_CLASSICAL,
@@ -47,6 +48,24 @@ def test_power_wronskian_n3_direct_expansion():
 def test_identity_check_range():
     for n in range(1, 5):
         assert power_wronskian_identity_holds(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factorial_wronskian_identity_matches_sympy(n):
+    # for a generic curve z(t): det[d^kappa/dt^kappa z^k] = 1! ... n! z'^(n(n+1)/2)
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    z = sympy.Function("z")(t)
+    det = sympy.Matrix(n, n, lambda r, c: sympy.diff(z ** (c + 1), t, r + 1)).det(method="berkowitz")
+    closed = math.prod(math.factorial(k) for k in range(1, n + 1)) * sympy.diff(z, t) ** (n * (n + 1) // 2)
+    assert sympy.expand(det - closed) == 0
+    # and power_wronskian, with z_1^(lam) standing for d^lam z / dt^lam
+    jets = {jet(1, lam): sympy.diff(z, t, lam) for lam in range(1, n + 1)}
+    jets[coord(1)] = z
+    ours = sympy.Add(
+        *(c * sympy.Mul(*(jets[v] ** e for v, e in mono)) for mono, c in iter_terms(power_wronskian(1, JetContext(n, n + 1))))
+    )
+    assert sympy.expand(det - ours) == 0
 
 
 def test_identity_n4_constant():
@@ -112,6 +131,24 @@ def test_cramer_solution_satisfies_system_variant2(n):
     for alpha in admissible(VARIANT_CLASSICAL, ctx):
         coeffs = cramer_coefficients(VARIANT_CLASSICAL, alpha, ctx)
         assert all(r.is_zero() for r in cramer_system_residuals(coeffs, ctx))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cramer_vectors_equal_column_replaced_determinants(n):
+    # B_k by the textbook route: the system determinant with column k
+    # replaced by the column of D^kappa(z^alpha)
+    ctx = JetContext(n, n + 1)
+    for variant in (VARIANT_POWER, VARIANT_CLASSICAL):
+        for chart in (1, ctx.nvars):
+            solved = solved_exponents(variant, ctx, chart)
+            matrix = system_matrix(solved, ctx)
+            for alpha in admissible(variant, ctx, chart):
+                coeffs = cramer_coefficients(variant, alpha, ctx, chart)
+                za = ctx.monomial_z(alpha)
+                column = [iterated_total_derivative(za, kappa, ctx) for kappa in range(1, n + 1)]
+                for k in range(n):
+                    replaced = [row[:k] + [column[r]] + row[k + 1:] for r, row in enumerate(matrix)]
+                    assert coeffs.b[k + 1] == determinant(replaced), (variant, chart, alpha, k)
 
 
 def test_cramer_against_hand_2x2_oracle():
