@@ -642,6 +642,18 @@ def binomial_product(ell: Sequence[int], sub: Sequence[int]) -> int:
     return r
 
 
+def falling_product(alpha: Sequence[int], sigma: Sequence[int]) -> int:
+    """prod_j (alpha_j)_(sigma_j), the coefficient of z^(alpha - sigma) in the
+    mixed partial d^sigma z^alpha; zero when some sigma_j exceeds alpha_j."""
+    r = 1
+    for a, s in zip(alpha, sigma):
+        if s:
+            r *= falling_factorial(a, s)
+            if not r:
+                return 0
+    return r
+
+
 # -- linear algebra -----------------------------------------------------------
 
 

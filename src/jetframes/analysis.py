@@ -168,16 +168,6 @@ class PoleRow:
     match: bool
     method: str  # "expanded" or "structural"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claimed": self.claimed,
-            "computed": self.computed,
-            "uniform": self.uniform,
-            "match": self.match,
-            "method": self.method,
-        }
-
 
 @dataclass(frozen=True)
 class PoleTableReport:
@@ -191,17 +181,6 @@ class PoleTableReport:
     @property
     def all_match(self) -> bool:
         return all(r.match for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [r.to_dict() for r in self.rows],
-            "c_variant1": self.c_power,
-            "c_variant2": self.c_classical,
-            "classical_wronskian_alternate_claim": self.alternate_w_claim,
-            "classical_wronskian_alternate_matches": self.alternate_w_matches,
-            "all_match": self.all_match,
-        }
 
 
 def _integer_curve_columns(ctx: JetContext, rng: random.Random):

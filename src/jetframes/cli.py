@@ -24,12 +24,9 @@ from .analysis import (
 )
 from .frames import (
     admissible_coefficient_exponents,
-    canonical_shifted_fields,
-    coefficient_field,
-    coordinate_field,
     enumerate_frame,
-    jet_linear_field,
     solve_jet_field_coefficients,
+    variant_free_frame,
 )
 from .jetspace import (
     JetContext,
@@ -138,6 +135,17 @@ def suite_wronskian(config: RunConfig) -> tuple[list, dict]:
     return items, {}
 
 
+def frame_families(ctx: JetContext, chart: int) -> tuple[list, list, list]:
+    """The fields the frames suite certifies, read by kind off the frames that
+    span and invariance use: the coefficient fields of every variant (in
+    VARIANTS order), then the shifted and the coordinate fields."""
+    frames = [enumerate_frame(ctx, chart, variant) for variant, _ in VARIANTS]
+    coefficient = [f for frame in frames for f in frame if f.kind == "coefficient"]
+    shifted = [f for f in frames[0] if f.kind == "shifted_coefficient"]
+    coordinate = [f for f in frames[0] if f.kind == "coordinate"]
+    return coefficient, shifted, coordinate
+
+
 def suite_frames(config: RunConfig) -> tuple[list, dict]:
     ctx = config.context()
     eqs = defining_equations_iterated(ctx)
@@ -150,28 +158,20 @@ def suite_frames(config: RunConfig) -> tuple[list, dict]:
                     return f.label
         return None
 
-    coeff_fields = [
-        coefficient_field(variant, a, ctx, config.chart)
-        for variant, _ in VARIANTS
-        for a in admissible_coefficient_exponents(variant, ctx, config.chart)
-    ]
-    offender = all_annihilated(coeff_fields)
-    items.append(_bool_item("coefficient fields annihilate every equation", offender is None))
-
+    coeff_fields, shifted_fields, coord_fields = frame_families(ctx, config.chart)
     items.append(
-        _bool_item(
-            "shifted fields annihilate every equation",
-            all_annihilated(canonical_shifted_fields(ctx)) is None,
-        )
+        _bool_item("coefficient fields annihilate every equation", all_annihilated(coeff_fields) is None)
     )
-    coord_fields = [coordinate_field(i, ctx) for i in range(1, ctx.nvars + 1)]
+    items.append(
+        _bool_item("shifted fields annihilate every equation", all_annihilated(shifted_fields) is None)
+    )
     items.append(
         _bool_item("coordinate fields annihilate every equation", all_annihilated(coord_fields) is None)
     )
 
     table = solve_jet_field_coefficients(ctx)
     items.append(_bool_item("jet-field blocks all invertible", all(d != 0 for d in table.block_dets.values())))
-    jet_field = jet_linear_field(None, ctx)
+    jet_field = variant_free_frame(ctx).symbolic
     order0 = jet_field.apply(eqs[0])
     try:
         quotient = order0.exact_div(eqs[0])

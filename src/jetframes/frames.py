@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     Polynomial,
@@ -25,7 +25,7 @@ from .algebra import (
     binomial_product,
     coord,
     enumerate_exponents,
-    falling_factorial,
+    falling_product,
     integer_bareiss,
     jet,
     mat,
@@ -230,12 +230,7 @@ def _remainder(rho, js, ctx: JetContext) -> Polynomial:
                 continue
             gamma_t = tuple(gamma)
             replaced = js[:m] + (l,) + js[m + 1:]
-            c = 1
-            for j, cnt in enumerate(_counts(replaced, nvars), start=1):
-                if cnt:
-                    c *= falling_factorial(gamma_t[j - 1], cnt)
-                    if c == 0:
-                        break
+            c = falling_product(gamma_t, _counts(replaced, nvars))
             if c == 0:
                 continue
             total = total + c * ctx.coeff_poly(gamma_t) * Polynomial.var(mat(l, jm))
@@ -278,17 +273,7 @@ def jet_field_block(ctx: JetContext, rho) -> tuple[list, list, list]:
             sigma = _counts(js, nvars)
             if not mi_leq(sigma, rho):
                 continue
-            row = []
-            for beta in unknowns:
-                alpha = mi_sub(rho, beta)
-                c = 1
-                for j in range(nvars):
-                    if sigma[j]:
-                        c *= falling_factorial(alpha[j], sigma[j])
-                        if c == 0:
-                            break
-                row.append(c)
-            rows.append(row)
+            rows.append([falling_product(mi_sub(rho, beta), sigma) for beta in unknowns])
             keys.append(js)
     return unknowns, rows, keys
 
@@ -364,33 +349,54 @@ def elementary_matrix(k: int, l: int, size: int):
 def matrix_partials(field: VectorField, size: int) -> dict:
     """{(k, l): the derivative of field in m(k, l)} for a field whose
     directions are linear in the entries of a size x size matrix, so that
-    the part of m(k, l) is the field at the elementary matrix E_kl.  The
-    Euler field sum m(k, l) d/dm(k, l) fixes a direction exactly when each
-    of its terms has degree 1 in the entries; any other raises ValueError."""
-    entries = [mat(k, l) for k in range(1, size + 1) for l in range(1, size + 1)]
-    euler = VectorField({m: Polynomial.var(m) for m in entries})
+    the part of m(k, l) is the field at the elementary matrix E_kl.  Euler's
+    identity sum m(k, l) dc/dm(k, l) = c holds for a direction c exactly when
+    each of its terms has degree 1 in the entries; any other raises
+    ValueError."""
+    entries = dict.fromkeys(mat(k, l) for k in range(1, size + 1) for l in range(1, size + 1))
     parts: dict = {m: {} for m in entries}
     for v, c in field.items():
-        if euler.apply(c) != c:
+        partials = c.gradient(entries)
+        if sum((Polynomial.var(m) * dc for m, dc in partials.items()), Polynomial.zero()) != c:
             raise ValueError(f"the d/d{var_name(v)} direction is not linear in the matrix entries")
-        for m, dc in c.gradient(euler.coeffs).items():
+        for m, dc in partials.items():
             parts[m][v] = dc
     return {m[1:]: VectorField(directions) for m, directions in parts.items()}
+
+
+class VariantFreeFrame(NamedTuple):
+    """The part of the frame no variant changes, built once per context."""
+
+    symbolic: FrameField  # the jet-linear field with symbolic matrix entries
+    fields: tuple  # canonical shifted, coordinate, then one jet-linear field per E_kl
+
+
+@lru_cache(maxsize=None)
+def variant_free_frame(ctx: JetContext) -> VariantFreeFrame:
+    """The symbolic jet-linear field and the frame's variant-free fields."""
+    fields = canonical_shifted_fields(ctx)
+    fields += [coordinate_field(i, ctx) for i in range(1, ctx.nvars + 1)]
+    # the field is linear in M, so E_kl's field is its derivative in m(k, l)
+    symbolic = jet_linear_field(None, ctx)
+    for (k, l), part in matrix_partials(symbolic.field, ctx.nvars).items():
+        label = f"jet[{_matrix_label(elementary_matrix(k, l, ctx.nvars))}]"
+        fields.append(FrameField(kind="jet_linear", label=label, field=part))
+    return VariantFreeFrame(symbolic, tuple(fields))
+
+
+@lru_cache(maxsize=None)
+def _frame(ctx: JetContext, chart: int, variant: int) -> tuple:
+    coefficient = tuple(
+        coefficient_field(variant, alpha, ctx, chart)
+        for alpha in admissible_coefficient_exponents(variant, ctx, chart)
+    )
+    return coefficient + variant_free_frame(ctx).fields
 
 
 def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWER) -> list:
     """The full candidate frame, deterministically ordered: all admissible
     coefficient fields, one canonical shifted field per long exponent, every
-    coordinate field, and one jet-linear field per elementary matrix."""
-    fields = []
-    for alpha in admissible_coefficient_exponents(variant, ctx, chart):
-        fields.append(coefficient_field(variant, alpha, ctx, chart))
-    fields += canonical_shifted_fields(ctx)
-    for i in range(1, ctx.nvars + 1):
-        fields.append(coordinate_field(i, ctx))
-    # the field is linear in M, so E_kl's field is its derivative in m(k, l)
-    symbolic = jet_linear_field(None, ctx).field
-    for (k, l), part in matrix_partials(symbolic, ctx.nvars).items():
-        label = f"jet[{_matrix_label(elementary_matrix(k, l, ctx.nvars))}]"
-        fields.append(FrameField(kind="jet_linear", label=label, field=part))
-    return fields
+    coordinate field, and one jet-linear field per elementary matrix.  Built
+    once per (ctx, chart, variant); each call returns a new list of the
+    cached fields, which callers must not mutate."""
+    return list(_frame(ctx, chart, variant))

@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import (
     JET,
@@ -29,8 +29,9 @@ from .algebra import (
     coeff,
     coord,
     enumerate_exponents,
-    falling_factorial,
+    falling_product,
     jet,
+    mi_sub,
     mi_total,
     rank_rational,
     solve_linear_exact,
@@ -217,17 +218,6 @@ def partition_coefficient(kappa: int, orders: Sequence[int], mults: Sequence[int
     return math.factorial(kappa) // denom
 
 
-def _monomial_derivative_coeff(alpha: Sequence[int], counts: Mapping[int, int]) -> int:
-    """Falling-factorial coefficient of the mixed partial of z^alpha with
-    counts[j] derivatives in z_j; zero when differentiated below degree."""
-    c = 1
-    for j, k in counts.items():
-        c *= falling_factorial(alpha[j - 1], k)
-        if c == 0:
-            return 0
-    return c
-
-
 @lru_cache(maxsize=None)
 def defining_equations_partition_sum(ctx: JetContext) -> tuple:
     """The same equations assembled from the closed higher-order chain-rule
@@ -246,14 +236,12 @@ def defining_equations_partition_sum(ctx: JetContext) -> tuple:
             for orders, mults in shapes:
                 base = partition_coefficient(kappa, orders, mults)
                 # choose a coordinate multiset for each derivative-order block
-                def assign(block: int, counts: dict, jet_pairs: list, tuple_count: int):
+                def assign(block: int, counts: tuple, jet_pairs: list, tuple_count: int):
                     if block == len(orders):
-                        dcoeff = _monomial_derivative_coeff(alpha, counts)
+                        dcoeff = falling_product(alpha, counts)
                         if dcoeff == 0:
                             return
-                        rem = list(alpha)
-                        for j, k in counts.items():
-                            rem[j - 1] -= k
+                        rem = mi_sub(alpha, counts)
                         # the blocks have distinct orders: one pair per jet variable
                         pairs = [(coord(j), e) for j, e in enumerate(rem, start=1)] + jet_pairs
                         if avar is not None:
@@ -268,13 +256,13 @@ def defining_equations_partition_sum(ctx: JetContext) -> tuple:
                         ways = math.factorial(mu)
                         for k in cnt.values():
                             ways //= math.factorial(k)
-                        new_counts = dict(counts)
+                        new_counts = list(counts)
                         for j, k in cnt.items():
-                            new_counts[j] = new_counts.get(j, 0) + k
+                            new_counts[j - 1] += k
                         new_jets = jet_pairs + [(jet(j, lam), k) for j, k in cnt.items()]
-                        assign(block + 1, new_counts, new_jets, tuple_count * ways)
+                        assign(block + 1, tuple(new_counts), new_jets, tuple_count * ways)
 
-                assign(0, {}, [], 1)
+                assign(0, (0,) * nvars, [], 1)
         eqs.append(sum_terms(terms))
     return tuple(eqs)
 
@@ -286,9 +274,18 @@ class JetPoint:
 
     assignment: dict
     chart: int | None = None
+    _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def value(self, v: Variable) -> Fraction:
         return self.assignment[v]
+
+    def series(self, ctx: JetContext) -> dict:
+        """monomial_series along the point's curve germ, kept per context: it
+        reads only the coordinates and the jets, so the sampler may compute
+        it before it solves the coefficients."""
+        if ctx not in self._series:
+            self._series[ctx] = monomial_series(self.curve(ctx), ctx)
+        return self._series[ctx]
 
     @cached_property
     def integer_point(self) -> IntegerPoint:
@@ -367,7 +364,7 @@ def sample_vertical_jet(
     assignment[jet(chart, 1)] = random_rational(rng, nonzero=True)
 
     point = JetPoint(assignment=assignment, chart=chart)
-    series = monomial_series(point.curve(ctx), ctx)
+    series = point.series(ctx)
     # E_kappa = kappa! [t^kappa] sum_alpha a_alpha z(t)^alpha: a_0 enters E_0
     # only, and the last n equations are linear in the solved chain
     solved = power_chain(ctx, chart)
@@ -432,7 +429,7 @@ def jacobian_matrix_at(point: JetPoint, ctx: JetContext):
     dE_kappa/dz_i^(lam) is C(kappa, lam) (kappa-lam)! [t^(kappa-lam)] G_i for
     lam <= kappa and 0 above, where G_i = sum_alpha a_alpha alpha_i z(t)^(alpha - e_i)."""
     n = ctx.n
-    series = monomial_series(point.curve(ctx), ctx)
+    series = point.series(ctx)
     coeffs = {alpha: point.value(ctx.coeff_var(alpha)) for alpha in ctx.coeff_exponents}
     coeffs[ctx.normalized_exponent] = 1
     grads = [[0] * (n + 1) for _ in range(ctx.nvars)]

@@ -21,6 +21,7 @@ from jetframes.algebra import (
     det_cofactor,
     determinant,
     enumerate_exponents,
+    falling_product,
     iter_terms,
     jet,
     rank_modular,
@@ -445,6 +446,21 @@ def test_enumerate_exponents_graded_lex():
 def test_binomial_product():
     assert binomial_product((2, 2, 0, 0), (1, 1, 0, 0)) == 4
     assert binomial_product((3, 1), (2, 0)) == 3
+
+
+def test_falling_product_is_the_mixed_partial_coefficient():
+    variables = [coord(1), coord(2), coord(3)]
+    for alpha in enumerate_exponents(3, 4):
+        for sigma in enumerate_exponents(3, 3):
+            p = Polynomial.monomial(zip(variables, alpha))
+            for v, s in zip(variables, sigma):
+                for _ in range(s):
+                    p = p.diff(v)
+            if not falling_product(alpha, sigma):
+                assert p.is_zero(), (alpha, sigma)
+            else:
+                rest = tuple(a - s for a, s in zip(alpha, sigma))
+                assert p == falling_product(alpha, sigma) * Polynomial.monomial(zip(variables, rest))
 
 
 def test_only_algebra_reads_polynomial_terms():

@@ -1,16 +1,29 @@
 import json
+from collections import Counter
 
 import pytest
 
+from jetframes import frames
 from jetframes.cli import (
     ReportValidationError,
     RunConfig,
     SUITES,
+    frame_families,
     main,
     render_text,
     run,
     validate_report,
 )
+from jetframes.frames import (
+    admissible_coefficient_exponents,
+    canonical_shifted_fields,
+    coefficient_field,
+    coordinate_field,
+    jet_linear_field,
+    variant_free_frame,
+)
+from jetframes.jetspace import JetContext
+from jetframes.wronskian import VARIANTS
 
 
 def run_json(capsys, args):
@@ -162,3 +175,59 @@ def test_suite_with_no_checked_items_fails(capsys, monkeypatch):
     assert code == 1
     assert report["ok"] is False and report["suites"][0]["ok"] is False
     assert "FAIL appendix: no items checked" in err
+
+
+def _hand_assembled_families(ctx, chart):
+    """The frames suite's own assembly before it read the cached frames: the
+    reference the families it reads are compared with."""
+    coefficient = [
+        coefficient_field(variant, a, ctx, chart)
+        for variant, _ in VARIANTS
+        for a in admissible_coefficient_exponents(variant, ctx, chart)
+    ]
+    shifted = canonical_shifted_fields(ctx)
+    coordinate = [coordinate_field(i, ctx) for i in range(1, ctx.nvars + 1)]
+    return coefficient, shifted, coordinate
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 4)])
+@pytest.mark.parametrize("last_chart", [False, True], ids=["chart1", "chart_n+1"])
+def test_frames_suite_reads_the_hand_assembled_families(n, d, last_chart):
+    ctx = JetContext(n, d)
+    chart = ctx.nvars if last_chart else 1
+    read = frame_families(ctx, chart)
+    for got, want in zip(read, _hand_assembled_families(ctx, chart), strict=True):
+        assert [f.label for f in got] == [f.label for f in want]
+        assert [f.to_text() for f in got] == [f.to_text() for f in want]
+    assert variant_free_frame(ctx).symbolic.to_text() == jet_linear_field(None, ctx).to_text()
+
+
+def test_default_run_builds_each_frame_part_once(monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn, key=lambda *args: ()):
+        def wrapper(*args, **kwargs):
+            counts[(name, *key(*args))] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(frames, name, wrapper)
+
+    counted("jet_linear_field", frames.jet_linear_field, lambda linear_map, *rest: (linear_map is None,))
+    counted("matrix_partials", frames.matrix_partials)
+    counted("coefficient_field", frames.coefficient_field, lambda variant, alpha, *rest: (variant, tuple(alpha)))
+    frames._frame.cache_clear()
+    frames.variant_free_frame.cache_clear()
+    try:
+        assert run(RunConfig(n=2, d=3, trials=2))["ok"]
+    finally:
+        frames._frame.cache_clear()
+        frames.variant_free_frame.cache_clear()
+    ctx = JetContext(2, 3)
+    assert counts.pop(("jet_linear_field", True)) == 1
+    assert counts.pop(("matrix_partials",)) == 1
+    built = {key[1:]: count for key, count in counts.items()}
+    assert built == {
+        (variant, alpha): 1
+        for variant, _ in VARIANTS
+        for alpha in admissible_coefficient_exponents(variant, ctx, 1)
+    }

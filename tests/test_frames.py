@@ -377,6 +377,14 @@ def test_enumerate_frame_count_and_determinism():
     assert [f.label for f in frame] == [f.label for f in again]
 
 
+def test_enumerate_frame_result_is_the_callers_own_list():
+    frame = enumerate_frame(CTX23, chart=1)
+    labels = [f.label for f in frame]
+    frame.append(frame[0])
+    del frame[:3]
+    assert [f.label for f in enumerate_frame(CTX23, chart=1)] == labels
+
+
 def test_enumerate_frame_every_long_exponent_covered_once():
     ctx = CTX34
     frame = enumerate_frame(ctx, chart=1)

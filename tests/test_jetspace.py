@@ -419,6 +419,21 @@ def test_series_jacobian_equals_symbolic_where_the_jet_matrix_has_rank_one():
     assert jacobian_matrix_at(point, ctx) == _symbolic_jacobian(ctx)(point)
 
 
+def test_jacobian_reads_the_series_the_sampler_built(monkeypatch):
+    calls = []
+    series = jetspace.monomial_series
+
+    def counted(curve, ctx):
+        calls.append(ctx)
+        return series(curve, ctx)
+
+    monkeypatch.setattr(jetspace, "monomial_series", counted)
+    point = sample_vertical_jet(CTX23, chart=1, rng=3)
+    jacobian_matrix_at(point, CTX23)
+    assert calls == [CTX23]
+    assert point.series(CTX23) == series(point.curve(CTX23), CTX23)
+
+
 def test_failed_certification_names_the_point(monkeypatch):
     solve = jetspace.solve_linear_exact
 
