@@ -565,6 +565,16 @@ class VectorField:
                 out[mono] = out.get(mono, 0) + c
         return Polynomial(out)
 
+    def bracket(self, other: "VectorField") -> "VectorField":
+        """The commutator [self, other]: direction v gets self(other_v) -
+        other(self_v)."""
+        return VectorField(
+            {
+                v: self.apply(other.get(v)) - other.apply(self.get(v))
+                for v in dict.fromkeys([*self.coeffs, *other.coeffs])
+            }
+        )
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented

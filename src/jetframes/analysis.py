@@ -36,6 +36,7 @@ from .algebra import (
     phi,
     rank_modular,
     rank_rational,
+    sum_terms,
     var_name,
 )
 from .frames import FrameField, admissible_coefficient_exponents, enumerate_frame
@@ -345,6 +346,30 @@ def action_matrix(rj: ReparamJet) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def reparam_generators(ctx: JetContext) -> tuple:
+    """V_2 .. V_n: the jet fields of the flows t -> t + eps t^k, which span
+    the Lie algebra of the group G_n of reparametrization n-jets tangent to
+    the identity (empty for n = 1, where G_n is trivial).  They come from the
+    same action_coefficients_symbolic as action_matrix: phi^(k)(0) = k! eps
+    along the flow, so V_k moves z_i^(lam) by k! times the derivative of
+    c[lam][m] in phi^(k) at the identity, times z_i^(m), summed over m."""
+    sym = action_coefficients_symbolic(ctx.n)
+    identity = {phi(k): 0 for k in range(2, ctx.n + 1)}
+    generators = []
+    for k in range(2, ctx.n + 1):
+        coeffs = {}
+        for lam in range(1, ctx.n + 1):
+            rates = [
+                (m, math.factorial(k) * sym[lam][m].diff(phi(k)).subs(identity).constant_value())
+                for m in range(1, lam + 1)
+            ]
+            for i in range(1, ctx.nvars + 1):
+                coeffs[jet(i, lam)] = sum_terms((((jet(i, m), 1),), rate) for m, rate in rates)
+        generators.append(VectorField(coeffs))
+    return tuple(generators)
+
+
 def _invert_unipotent(c: list, n: int) -> list:
     """Inverse of a unipotent lower-triangular matrix by exact forward substitution."""
     inv = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
@@ -353,25 +378,6 @@ def _invert_unipotent(c: list, n: int) -> list:
         for r in range(j + 1, n + 1):
             inv[r][j] = -sum((c[r][k] * inv[k][j] for k in range(j, r)), Fraction(0))
     return inv
-
-
-def inverse_jet(rj: ReparamJet) -> ReparamJet:
-    """The compositional inverse, read off the inverse action matrix (formal
-    series inversion up to order n)."""
-    inv = _invert_unipotent(action_matrix(rj), rj.n)
-    return ReparamJet(rj.n, tuple(inv[k][1] for k in range(2, rj.n + 1)))
-
-
-def reparam_point(point: JetPoint, rj: ReparamJet, ctx: JetContext) -> JetPoint:
-    c = action_matrix(rj)
-    assignment = dict(point.assignment)
-    for i in range(1, ctx.nvars + 1):
-        old = [point.value(jet(i, m)) for m in range(1, ctx.n + 1)]
-        for lam in range(1, ctx.n + 1):
-            assignment[jet(i, lam)] = sum(
-                (c[lam][m] * old[m - 1] for m in range(1, lam + 1)), Fraction(0)
-            )
-    return JetPoint(assignment=assignment, chart=point.chart)
 
 
 def _jet_substitution(matrix_rows, ctx: JetContext) -> dict:
@@ -384,23 +390,6 @@ def _jet_substitution(matrix_rows, ctx: JetContext) -> dict:
                     total = total + matrix_rows[m][j] * Polynomial.var(jet(i, j))
             binds[jet(i, m)] = total
     return binds
-
-
-def reparam_polynomial(p: Polynomial, rj: ReparamJet, ctx: JetContext) -> Polynomial:
-    """Substitute every jet variable by its transformed expression; the
-    coordinates and coefficients are untouched."""
-    return p.subs(_jet_substitution(action_matrix(rj), ctx))
-
-
-def reparam_action(obj, rj: ReparamJet, ctx: JetContext):
-    """Transform a point, a polynomial, or a vector field (pushforward)."""
-    if isinstance(obj, JetPoint):
-        return reparam_point(obj, rj, ctx)
-    if isinstance(obj, Polynomial):
-        return reparam_polynomial(obj, rj, ctx)
-    if isinstance(obj, (VectorField, FrameField)):
-        return pushforward_field(obj, rj, ctx)
-    raise TypeError(f"cannot transform {type(obj).__name__}")
 
 
 @lru_cache(maxsize=1)
@@ -434,6 +423,16 @@ def invariance_check(field, rj: ReparamJet, ctx: JetContext) -> bool:
     """Exact structural equality of the field with its pushforward."""
     vf = field.field if isinstance(field, FrameField) else field
     return pushforward_field(field, rj, ctx) == vf
+
+
+def invariance_proved(field, ctx: JetContext) -> bool:
+    """True iff [V_k, field] = 0 for every generator of reparam_generators.
+    Then invariance_check holds for every draw: G_n is connected and
+    unipotent, so exp maps its Lie algebra onto it, and the jet action is a
+    homomorphism.  A nonzero bracket means some element of G_n moves the
+    field."""
+    vf = field.field if isinstance(field, FrameField) else field
+    return all(not v.bracket(vf).coeffs for v in reparam_generators(ctx))
 
 
 # -- spanning ----------------------------------------------------------------------

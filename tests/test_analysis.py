@@ -14,13 +14,9 @@ from jetframes.analysis import (
     chart_transfer_pairs,
     field_vector,
     invariance_check,
-    inverse_jet,
     monomial_oracle_order,
     pole_order,
     pushforward_field,
-    reparam_action,
-    reparam_point,
-    reparam_polynomial,
     sample_for_variant,
     spanning_check,
     verify_pole_table,
@@ -47,6 +43,8 @@ from jetframes.wronskian import (
     classical_wronskian,
     power_wronskian,
 )
+
+from reparam_helpers import inverse_jet, reparam_action, reparam_point, reparam_polynomial
 
 CTX23 = JetContext(2, 3)
 CTX34 = JetContext(3, 4)

@@ -152,6 +152,34 @@ def test_vector_field_obeys_the_leibniz_rule(x, p, q):
     assert x.apply(p * q) == x.apply(p) * q + p * x.apply(q)
 
 
+def _field_sum(*xs):
+    directions = {v for x in xs for v in x.coeffs}
+    return VectorField({v: sum((x.get(v) for x in xs), Polynomial()) for v in directions})
+
+
+# coefficients stay small, so that brackets of brackets keep few terms
+small_fields = st.dictionaries(st.sampled_from(VARIABLES), small_polynomials, max_size=3).map(VectorField)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields, fields, polynomials)
+def test_bracket_is_the_commutator_of_derivations(x, y, p):
+    assert x.bracket(y).apply(p) == x.apply(y.apply(p)) - y.apply(x.apply(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields, fields)
+def test_bracket_is_antisymmetric(x, y):
+    assert x.bracket(y) == VectorField({v: -c for v, c in y.bracket(x).items()})
+    assert not x.bracket(x).coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_fields, small_fields, small_fields)
+def test_bracket_obeys_the_jacobi_identity(x, y, z):
+    assert not _field_sum(x.bracket(y.bracket(z)), y.bracket(z.bracket(x)), z.bracket(x.bracket(y))).coeffs
+
+
 @settings(max_examples=100, deadline=None)
 @given(polynomials, polynomials.filter(lambda q: not q.is_zero()))
 def test_exact_division_undoes_multiplication(p, q):
