@@ -406,13 +406,6 @@ class Polynomial:
         p.terms = {m: c for m, c in quot.items() if c != 0}
         return p
 
-    def divisible_by(self, divisor: "Polynomial") -> bool:
-        try:
-            self.exact_div(divisor)
-            return True
-        except ValueError:
-            return False
-
     # -- canonical text form ---------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:

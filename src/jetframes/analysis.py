@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .algebra import (
+    COEFF,
     COORD,
     JET,
     IntegerPolynomial,
@@ -30,6 +31,7 @@ from .algebra import (
     adjugate,
     common_integer_forms,
     coord,
+    integer_bareiss,
     iter_terms,
     jet,
     mi_total,
@@ -54,6 +56,7 @@ from .wronskian import (
     VARIANTS,
     classical_wronskian,
     cramer_coefficients,
+    excluded_exponents,
     power_wronskian,
     solved_exponents,
     system_determinant,
@@ -481,6 +484,87 @@ def _field_forms(field: FrameField, ctx: JetContext) -> list:
     return [(j, form) for (j, _), form in zip(slots, forms)]
 
 
+class SpanPatternError(ValueError):
+    """The fields break the block-triangular pattern span_pattern reads; the
+    message names the field and the column."""
+
+
+@dataclass(frozen=True)
+class SpanPattern:
+    """The pivots of a frame whose rows are block upper triangular once the
+    excluded slots' columns are dropped.  The columns are the jets, the
+    coordinates, then the free coefficient slots, longest first.  The jet
+    block (the rows that move a jet) meets the jet columns; every coordinate
+    and free column has one pivot row, which is zero on every column before
+    its pivot."""
+
+    pivots: tuple  # (row, ambient column) of each coordinate and free pivot
+    jet_rows: tuple
+    jet_columns: tuple  # ambient indices
+
+    def certifies(self, rows: Sequence[Sequence[int]]) -> bool:
+        """True when every pivot entry of the integer rows is nonzero and the
+        jet block has full column rank on the jet columns, by exact
+        elimination.  The rows then have rank at least the number of columns
+        kept: ambient - (n + 1), the excluded slots being 0 and the n solved
+        slots."""
+        if not all(rows[r][c] for r, c in self.pivots):
+            return False
+        block = [[rows[r][c] for c in self.jet_columns] for r in self.jet_rows]
+        return integer_bareiss(block)[0] == len(self.jet_columns)
+
+
+def span_pattern(fields: Sequence[FrameField], ctx: JetContext, chart: int, variant: int) -> SpanPattern:
+    """Read the block-triangular pattern off the supports of the symbolic
+    fields.  A free slot is a coefficient slot outside excluded_exponents.
+    A row that moves a coordinate moves exactly one, by a nonzero constant,
+    and no jet.  Any other row that moves a jet belongs to the jet block.
+    Every remaining row has its pivot at its longest free slot, and every
+    other free slot it moves is strictly shorter.  Every coordinate and free
+    column is the pivot of exactly one row.  Raises SpanPatternError, naming
+    the field and the column, where the fields break this."""
+    index = {v: j for j, v in enumerate(ctx.ambient_variables)}
+    excluded = {ctx.coeff_var(alpha) for alpha in excluded_exponents(variant, ctx, chart)}
+    owner: dict = {}  # pivot column -> label of its row
+    pivots = []
+    jet_rows = []
+    for r, f in enumerate(fields):
+        moved = {v: c for v, c in f.field.items() if v in index}  # the row's nonzero columns
+        coords = [v for v in moved if v[0] == COORD]
+        jets = [v for v in moved if v[0] == JET]
+        if coords:
+            pivot = coords[0]
+            if len(coords) > 1:
+                raise SpanPatternError(f"{f.label} moves a second coordinate, {var_name(coords[1])}")
+            if jets:
+                raise SpanPatternError(f"{f.label} moves a coordinate and the jet {var_name(jets[0])}")
+            if not moved[pivot].is_constant():
+                raise SpanPatternError(f"{f.label} moves {var_name(pivot)} by a nonconstant entry")
+        elif jets:
+            jet_rows.append(r)
+            continue
+        else:
+            free = sorted(
+                ((mi_total(v[1:]), v) for v in moved if v[0] == COEFF and v not in excluded), reverse=True
+            )
+            if not free:
+                raise SpanPatternError(f"{f.label} moves no free slot")
+            if len(free) > 1 and free[1][0] == free[0][0]:
+                raise SpanPatternError(
+                    f"{f.label} moves {var_name(free[1][1])}, as long as its pivot {var_name(free[0][1])}"
+                )
+            pivot = free[0][1]
+        if pivot in owner:
+            raise SpanPatternError(f"{var_name(pivot)} is the pivot of both {owner[pivot]} and {f.label}")
+        owner[pivot] = f.label
+        pivots.append((r, index[pivot]))
+    for v in ctx.coord_vars + ctx.coeff_vars:
+        if v not in owner and v not in excluded:
+            raise SpanPatternError(f"no field has its pivot at {var_name(v)}")
+    jet_columns = tuple(index[v] for v in ctx.jet_vars)
+    return SpanPattern(tuple(pivots), tuple(jet_rows), jet_columns)
+
+
 # Draws sample_for_variant makes before giving up.  The degenerate loci are
 # proper subvarieties, so a uniform draw rarely lands on one; hitting the limit
 # means the sampler is broken, not unlucky.
@@ -526,14 +610,21 @@ def spanning_check(
     scaled to integers.  Scaling a row by a nonzero integer changes neither
     tangency nor any rank.
 
-    Both ranks are first taken modulo a prime, which never exceeds the rank
-    over Q.  The Jacobian has n+1 rows, so a modular rank of n+1 is exact.
-    Tangent fields lie in ker J, of dimension expected once rank J = n+1, so a
-    modular rank of expected is exact too.  Otherwise rank_rational decides."""
+    The Jacobian's rank is first taken modulo a prime, which never exceeds
+    the rank over Q; it has n+1 rows, so a modular rank of n+1 is exact.
+    Tangent fields lie in ker J, of dimension expected once rank J = n+1, so
+    the field rank is at most expected.  The frame's span_pattern, read once
+    per call, proves it at least expected wherever its pivots hold.  Where
+    they fail, or the fields break the pattern, a modular rank of expected is
+    exact too.  Otherwise rank_rational decides."""
     rng = random.Random(seed)
     if fields is None:
         fields = enumerate_frame(ctx, chart, variant)
     expected = ctx.ambient_dimension - (ctx.n + 1)
+    try:
+        pattern = span_pattern(fields, ctx, chart, variant)
+    except SpanPatternError:
+        pattern = None
     compiled = [_field_forms(f, ctx) for f in fields]
     results = []
     for t in range(trials):
@@ -556,7 +647,9 @@ def spanning_check(
                     tangent_ok = False
                     offender = offender or f.label
                     break
-        if tangent_ok and jac_certified and rank_modular(vectors) == expected:
+        if tangent_ok and jac_certified and (
+            (pattern is not None and pattern.certifies(vectors)) or rank_modular(vectors) == expected
+        ):
             rank = expected
         else:
             rank = rank_rational(vectors)

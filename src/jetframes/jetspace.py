@@ -349,9 +349,8 @@ def sample_vertical_jet(
     rng: random.Random | int | None = None,
 ) -> JetPoint:
     """Draw a random point of the vertical jet space over the open set
-    z_chart' != 0: coordinates, jets and free coefficients are random
-    rationals; the chain a_0, a_{e_i}, ..., a_{n e_i} is solved exactly from
-    the defining equations (the power-jet system is invertible there)."""
+    z_chart' != 0: coordinates and jets are random rationals, and
+    lift_vertical_jet completes them."""
     if not 1 <= chart <= ctx.nvars:
         raise ValueError(f"chart must lie in 1..{ctx.nvars}")
     if rng is None or isinstance(rng, int):
@@ -362,7 +361,15 @@ def sample_vertical_jet(
     for v in ctx.jet_vars:
         assignment[v] = random_rational(rng)
     assignment[jet(chart, 1)] = random_rational(rng, nonzero=True)
+    return lift_vertical_jet(assignment, ctx, chart, rng)
 
+
+def lift_vertical_jet(base: dict, ctx: JetContext, chart: int, rng: random.Random) -> JetPoint:
+    """The point of the vertical jet space over the given coordinates and
+    jets, with z_chart' != 0: the free coefficients are random rationals, and
+    the chain a_0, a_{e_i}, ..., a_{n e_i} is solved exactly from the defining
+    equations (the power-jet system is invertible there)."""
+    assignment = dict(base)
     point = JetPoint(assignment=assignment, chart=chart)
     series = point.series(ctx)
     # E_kappa = kappa! [t^kappa] sum_alpha a_alpha z(t)^alpha: a_0 enters E_0
@@ -450,8 +457,3 @@ def jacobian_matrix_at(point: JetPoint, ctx: JetContext):
         + [jet_entry(kappa, lam, i) for lam in range(1, n + 1) for i in range(ctx.nvars)]
         for kappa in range(n + 1)
     ]
-
-
-def jacobian_rank_at(point: JetPoint, ctx: JetContext) -> int:
-    """Rank over Q of the (n+1) x ambient Jacobian of the defining equations."""
-    return rank_rational(jacobian_matrix_at(point, ctx))

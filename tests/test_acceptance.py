@@ -61,7 +61,6 @@ from jetframes.jetspace import (
     JetContext,
     defining_equations_iterated,
     defining_equations_partition_sum,
-    jacobian_rank_at,
     jet_weight_partitions,
     partition_coefficient,
     sample_vertical_jet,
@@ -74,6 +73,8 @@ from jetframes.wronskian import (
     power_wronskian,
     power_wronskian_closed_form,
 )
+
+from reference_helpers import jacobian_rank_at
 
 
 def _degrees(mono) -> tuple:

@@ -579,12 +579,23 @@ def test_spanning_falls_back_to_exact_rank_when_the_certificate_fails(monkeypatc
         # bounds nothing, so the frame's rank is taken exactly as well
         (lambda m: jacobian - 1 if len(m) == jacobian else expected, [jacobian, 28] * 3),
     )
-    for fake, exact_calls in fakes:
-        calls.clear()
-        monkeypatch.setattr(analysis, "rank_modular", fake)
-        results = spanning_check(ctx, chart=1, trials=3, seed=42)
-        assert calls == exact_calls
-        assert [r.to_dict() for r in results] == reference
+    def unreadable(fields, ctx, chart, variant):
+        raise analysis.SpanPatternError("declined")
+
+    # the certificate declines at every point, or cannot read the frame at all
+    declines = (
+        (analysis.SpanPattern, "certifies", lambda self, rows: False),
+        (analysis, "span_pattern", unreadable),
+    )
+    for target, name, decline in declines:
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, decline)
+            for fake, exact_calls in fakes:
+                calls.clear()
+                patch.setattr(analysis, "rank_modular", fake)
+                results = spanning_check(ctx, chart=1, trials=3, seed=42)
+                assert calls == exact_calls
+                assert [r.to_dict() for r in results] == reference
 
 
 def test_spanning_reports_exact_rank_with_a_non_tangent_field(monkeypatch):

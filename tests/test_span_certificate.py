@@ -1,0 +1,231 @@
+"""The spanning certificate: the block-triangular pattern of the frame, its
+pivots at sampled points, and the points of Sigma minus Sigma-tilde (nonzero
+first jets, jet matrix of rank r < n) where it must decline."""
+
+import math
+import random
+import re
+
+import pytest
+
+import jetframes.analysis as analysis
+from jetframes.algebra import (
+    Polynomial,
+    VectorField,
+    determinant,
+    integer_bareiss,
+    jet,
+    rank_rational,
+    var_name,
+)
+from jetframes.analysis import SpanPatternError, _field_forms, span_pattern, spanning_check
+from jetframes.cli import RunConfig, run
+from jetframes.frames import FrameField, enumerate_frame
+from jetframes.jetspace import (
+    JetContext,
+    first_jets_all_zero,
+    jacobian_matrix_at,
+    jet_matrix_rank,
+    lift_vertical_jet,
+    random_rational,
+)
+from jetframes.wronskian import VARIANT_POWER, VARIANTS, solved_exponents, system_determinant
+
+from reference_helpers import jacobian_rank_at
+
+CONTEXTS = [(1, 2), (2, 3), (3, 4)]
+
+
+def _integer_rows(fields, point, ctx):
+    """Each field's integer row at the point, as spanning_check builds it,
+    divided by its content: that keeps every rank and every nonzero entry,
+    and rank_rational runs on far smaller integers."""
+    ipoint = point.integer_point
+    rows = []
+    for f in fields:
+        row = [0] * ctx.ambient_dimension
+        for j, form in _field_forms(f, ctx):
+            row[j] = form.numerator(ipoint)
+        content = math.gcd(*row) or 1
+        rows.append([x // content for x in row])
+    return rows
+
+
+def _expected(ctx):
+    return ctx.ambient_dimension - (ctx.n + 1)
+
+
+@pytest.mark.parametrize("n,d", CONTEXTS)
+@pytest.mark.parametrize("chart_at", ["1", "n+1"])
+@pytest.mark.parametrize("variant", [v for v, _ in VARIANTS])
+def test_pattern_holds_symbolically(n, d, chart_at, variant):
+    ctx = JetContext(n, d)
+    chart = 1 if chart_at == "1" else ctx.nvars
+    fields = enumerate_frame(ctx, chart, variant)
+    pattern = span_pattern(fields, ctx, chart, variant)
+    ambient = ctx.ambient_variables
+    assert len(pattern.jet_columns) + len(pattern.pivots) == _expected(ctx)
+    assert [fields[r].kind for r in pattern.jet_rows] == ["jet_linear"] * ctx.nvars**2
+    assert sorted(ambient[c] for c in pattern.jet_columns) == sorted(ctx.jet_vars)
+    w = system_determinant(solved_exponents(variant, ctx, chart), ctx)
+    for r, c in pattern.pivots:
+        f = fields[r]
+        # the pivots are W for the coefficient fields and 1 for the others
+        assert f.field.get(ambient[c]) == (w if f.kind == "coefficient" else Polynomial.const(1)), f.label
+
+
+def _replaced(fields, label, field):
+    return [FrameField(f.kind, f.label, field) if f.label == label else f for f in fields]
+
+
+def test_a_shifted_field_moving_a_longer_slot_breaks_the_pattern():
+    ctx = JetContext(2, 4)
+    fields = enumerate_frame(ctx, 1, VARIANT_POWER)
+    shifted = [f for f in fields if f.kind == "shifted_coefficient"]
+    short = next(f for f in shifted if "a=(2, 1, 0)" in f.label)
+    longer = ctx.coeff_var((2, 2, 0))
+    assert any(f.field.get(longer) == Polynomial.const(1) for f in shifted)  # another field's pivot
+    mutated = _replaced(fields, short.label, VectorField({**short.field.coeffs, longer: Polynomial.const(1)}))
+    with pytest.raises(SpanPatternError) as failure:
+        span_pattern(mutated, ctx, 1, VARIANT_POWER)
+    assert short.label in str(failure.value) and var_name(longer) in str(failure.value)
+    # a second slot as long as the pivot breaks the triangle too
+    tied = ctx.coeff_var((1, 2, 0))
+    mutated = _replaced(fields, short.label, VectorField({**short.field.coeffs, tied: Polynomial.const(1)}))
+    with pytest.raises(SpanPatternError, match=re.escape(f"{short.label} moves {var_name(tied)}, as long as")):
+        span_pattern(mutated, ctx, 1, VARIANT_POWER)
+
+
+def test_a_coordinate_field_moving_a_jet_breaks_the_pattern():
+    ctx = JetContext(2, 3)
+    fields = enumerate_frame(ctx, 1, VARIANT_POWER)
+    z1 = next(f for f in fields if f.label == "coord[1]")
+    mutated = _replaced(fields, "coord[1]", VectorField({**z1.field.coeffs, jet(2, 1): Polynomial.const(1)}))
+    with pytest.raises(SpanPatternError, match=re.escape("coord[1]") + ".*" + re.escape(var_name(jet(2, 1)))):
+        span_pattern(mutated, ctx, 1, VARIANT_POWER)
+
+
+def test_a_field_without_a_free_slot_or_a_missing_pivot_breaks_the_pattern():
+    ctx = JetContext(2, 3)
+    fields = enumerate_frame(ctx, 1, VARIANT_POWER)
+    bogus = FrameField("coefficient", "bogus", VectorField({ctx.coeff_var((0, 0, 0)): Polynomial.const(1)}))
+    with pytest.raises(SpanPatternError, match="bogus moves no free slot"):
+        span_pattern(fields + [bogus], ctx, 1, VARIANT_POWER)
+    with pytest.raises(SpanPatternError, match=re.escape("no field has its pivot at z2")):
+        span_pattern([f for f in fields if f.label != "coord[2]"], ctx, 1, VARIANT_POWER)
+
+
+def test_spanning_takes_the_dense_route_when_the_pattern_breaks(monkeypatch):
+    # a repeated field leaves the span unchanged but gives a pivot two rows
+    ctx = JetContext(2, 3)
+    fields = enumerate_frame(ctx, 1, VARIANT_POWER)
+    doubled = fields + [fields[0]]
+    with pytest.raises(SpanPatternError, match="pivot of both"):
+        span_pattern(doubled, ctx, 1, VARIANT_POWER)
+    reference = [r.to_dict() for r in spanning_check(ctx, chart=1, trials=2, seed=5)]
+    sizes = []
+    real = analysis.rank_modular
+    monkeypatch.setattr(analysis, "rank_modular", lambda m: sizes.append(len(m)) or real(m))
+    results = [r.to_dict() for r in spanning_check(ctx, chart=1, trials=2, seed=5, fields=doubled)]
+    assert results == reference
+    assert sizes == [ctx.n + 1, len(doubled)] * 2
+
+
+def test_pivots_bound_the_rank_only_from_below():
+    # a bare jet direction keeps the pattern (one more jet row) but leaves
+    # the tangent space, so the rank is taken exactly and exceeds expected
+    ctx = JetContext(2, 3)
+    bare = FrameField("jet_linear", "bare", VectorField({jet(1, 1): Polynomial.const(1)}))
+    fields = enumerate_frame(ctx, 1, VARIANT_POWER) + [bare]
+    span_pattern(fields, ctx, 1, VARIANT_POWER)
+    for r in spanning_check(ctx, chart=1, trials=2, seed=0, fields=fields):
+        assert not r.tangent_ok and r.first_offender == "bare"
+        assert r.rank == r.expected_rank + 1 == 26
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 4)])
+def test_certificate_agrees_with_the_exact_rank_at_sampled_points(n, d):
+    ctx = JetContext(n, d)
+    rng = random.Random(21)
+    for variant, _ in VARIANTS:
+        fields = enumerate_frame(ctx, 1, variant)
+        pattern = span_pattern(fields, ctx, 1, variant)
+        for _ in range(2):
+            rows = _integer_rows(fields, analysis.sample_for_variant(ctx, 1, variant, rng), ctx)
+            assert pattern.certifies(rows)
+            assert rank_rational(rows) == _expected(ctx)
+        # a vanishing pivot entry alone makes it decline
+        for r, c in pattern.pivots[:: len(pattern.pivots) - 1]:
+            zeroed = [row[:c] + [0] + row[c + 1:] if i == r else row for i, row in enumerate(rows)]
+            assert not pattern.certifies(zeroed)
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 4)])
+def test_default_span_runs_take_no_modular_rank_of_the_frame(monkeypatch, n, d):
+    sizes = []
+    real = analysis.rank_modular
+    monkeypatch.setattr(analysis, "rank_modular", lambda m: sizes.append(len(m)) or real(m))
+    report = run(RunConfig(n=n, d=d, suites=("span",)))
+    assert report["ok"]
+    assert sizes == [n + 1] * (2 * RunConfig().trials)  # the Jacobian at each point, per variant
+
+
+def _low_rank_point(ctx, r, rng):
+    """A point of the variety over random coordinates whose jet matrix is
+    U V, with U of size (n+1) x r and V of size r x n: rank r, with the
+    chart jet z_1' nonzero."""
+    while True:
+        u = [[random_rational(rng, nonzero=True) for _ in range(r)] for _ in range(ctx.nvars)]
+        v = [[random_rational(rng, nonzero=True) for _ in range(ctx.n)] for _ in range(r)]
+        base = {c: random_rational(rng) for c in ctx.coord_vars}
+        for i in range(1, ctx.nvars + 1):
+            for lam in range(1, ctx.n + 1):
+                base[jet(i, lam)] = sum(u[i - 1][s] * v[s][lam - 1] for s in range(r))
+        if base[jet(1, 1)] != 0:
+            point = lift_vertical_jet(base, ctx, 1, rng)
+            if jet_matrix_rank(point, ctx) == r:
+                return point
+
+
+# at r = 1 the probe values: rank 22 of 25 at (2, 3) and 73 of 81 at (3, 4)
+@pytest.mark.parametrize("n,d,rank_one", [(2, 3, (22, 25)), (3, 4, (73, 81))])
+def test_variant1_frame_falls_short_on_sigma_minus_sigma_tilde(n, d, rank_one):
+    ctx = JetContext(n, d)
+    fields = enumerate_frame(ctx, 1, VARIANT_POWER)
+    pattern = span_pattern(fields, ctx, 1, VARIANT_POWER)
+    rng = random.Random(40 + n)
+    for r in range(1, n):
+        point = _low_rank_point(ctx, r, rng)
+        assert not first_jets_all_zero(point, ctx)
+        assert jacobian_rank_at(point, ctx) == ctx.n + 1
+        rows = _integer_rows(fields, point, ctx)
+        jacobian = jacobian_matrix_at(point, ctx)
+        assert all(sum(a * x for a, x in zip(eq, row)) == 0 for row in rows for eq in jacobian)
+        # every pivot holds (W is a power of z_1'), but the jet block is n+1
+        # copies of a rank-r jet matrix, so the certificate declines there
+        assert all(rows[i][c] for i, c in pattern.pivots)
+        block = [[rows[i][c] for c in pattern.jet_columns] for i in pattern.jet_rows]
+        assert integer_bareiss(block)[0] == ctx.nvars * r
+        assert not pattern.certifies(rows)
+        # and the frame's rank falls short by exactly (n+1)(n-r)
+        rank = rank_rational(rows)
+        assert rank == _expected(ctx) - ctx.nvars * (n - r), r
+        if r == 1:
+            assert (rank, _expected(ctx)) == rank_one
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 4)])
+def test_jacobian_minor_on_the_solved_slots_is_w(n, d):
+    # rank J = n + 1 wherever W != 0: dE_0/da_0 = 1, dE_kappa/da_0 = 0 for
+    # kappa >= 1, and dE_kappa/da_beta = D^kappa(z^beta)
+    ctx = JetContext(n, d)
+    rng = random.Random(3)
+    column = {v: j for j, v in enumerate(ctx.ambient_variables)}
+    for variant, _ in VARIANTS:
+        solved = solved_exponents(variant, ctx, 1)
+        columns = [column[ctx.coeff_var(beta)] for beta in ((0,) * ctx.nvars, *solved)]
+        w = system_determinant(solved, ctx)
+        for _ in range(2):
+            point = analysis.sample_for_variant(ctx, 1, variant, rng)
+            minor = [[row[j] for j in columns] for row in jacobian_matrix_at(point, ctx)]
+            assert determinant(minor).constant_value() == w.evaluate(point.assignment) != 0
