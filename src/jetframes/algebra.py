@@ -874,8 +874,15 @@ def _to_fraction(x) -> Fraction:
 
 
 def rank_rational(matrix: Sequence[Sequence]) -> int:
-    """Rank over Q: rows scaled to integers, then integer Bareiss."""
-    return integer_bareiss(_integer_rows(matrix)[0])[0]
+    """Rank over Q: rows scaled to integers and divided by their content (the
+    gcd of their entries), then integer Bareiss.  Neither scaling changes
+    the rank, and the content can be large: a frame's rows at a point carry
+    their forms' scale times a power of the point's denominator."""
+    rows = []
+    for row in _integer_rows(matrix)[0]:
+        content = math.gcd(*row)
+        rows.append([x // content for x in row] if content > 1 else row)
+    return integer_bareiss(rows)[0]
 
 
 # A 61-bit prime: a nonzero integer minor vanishes modulo it only by rare

@@ -123,27 +123,6 @@ def shifted_coefficient_field(alpha, ell, ctx: JetContext) -> FrameField:
     )
 
 
-def shift_split_identity(alpha, ell, js: Sequence[int], e1: int, ctx: JetContext) -> Polynomial:
-    """The split sum over s <= ell of
-    (-1)^{|s|} (ell choose s)  d^{e1}(z^{alpha-s})/dz_{j_1..j_{e1}} *
-    d^{e-e1}(z^s)/dz_{j_{e1+1}..j_e};
-    identically zero for every derivative count e <= n and every splitting."""
-    alpha, ell = tuple(alpha), tuple(ell)
-    total = Polynomial.zero()
-    first, second = js[:e1], js[e1:]
-    for sub in product(*(range(l + 1) for l in ell)):
-        sign = -1 if sum(sub) % 2 else 1
-        c = sign * binomial_product(ell, sub)
-        p1 = ctx.monomial_z(mi_sub(alpha, sub))
-        for j in first:
-            p1 = p1.diff(coord(j))
-        p2 = ctx.monomial_z(sub)
-        for j in second:
-            p2 = p2.diff(coord(j))
-        total = total + c * p1 * p2
-    return total
-
-
 def coordinate_field(i: int, ctx: JetContext) -> FrameField:
     """One coordinate direction corrected by the induced drift on the
     coefficients; commutes with total differentiation."""

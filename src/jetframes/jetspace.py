@@ -33,7 +33,6 @@ from .algebra import (
     jet,
     mi_sub,
     mi_total,
-    rank_rational,
     solve_linear_exact,
     sum_terms,
     unit_index,
@@ -144,12 +143,6 @@ def total_derivative(p: Polynomial, ctx: JetContext) -> Polynomial:
     if top:
         raise ValueError(f"total derivative of {var_name(min(top))} leaves the order-{ctx.n} jet space")
     return _total_derivation(ctx).apply(p)
-
-
-def iterated_total_derivative(p: Polynomial, order: int, ctx: JetContext) -> Polynomial:
-    for _ in range(order):
-        p = total_derivative(p, ctx)
-    return p
 
 
 def power_chain(ctx: JetContext, chart: int) -> tuple:
@@ -279,12 +272,25 @@ class JetPoint:
     def value(self, v: Variable) -> Fraction:
         return self.assignment[v]
 
-    def series(self, ctx: JetContext) -> dict:
-        """monomial_series along the point's curve germ, kept per context: it
+    def series(self, ctx: JetContext) -> tuple:
+        """(s, {alpha: I_alpha}): monomial_series along the point's curve germ
+        scaled by s, kept per context.  D0 is the lcm of the denominators of
+        the coordinates and the jets and s = D0 * n!, so the germ's
+        coefficients z_i^(lam) * s / lam! are integers and
+        I_alpha = s^|alpha| z(t)^alpha mod t^(n+1) is an integer series.  It
         reads only the coordinates and the jets, so the sampler may compute
         it before it solves the coefficients."""
         if ctx not in self._series:
-            self._series[ctx] = monomial_series(self.curve(ctx), ctx)
+            values = [
+                [self.value(coord(i))] + [self.value(jet(i, lam)) for lam in range(1, ctx.n + 1)]
+                for i in range(1, ctx.nvars + 1)
+            ]
+            s = math.lcm(*(x.denominator for row in values for x in row)) * math.factorial(ctx.n)
+            curve = [
+                [x.numerator * (s // (x.denominator * math.factorial(lam))) for lam, x in enumerate(row)]
+                for row in values
+            ]
+            self._series[ctx] = (s, monomial_series(curve, ctx))
         return self._series[ctx]
 
     @cached_property
@@ -293,15 +299,6 @@ class JetPoint:
         that every polynomial evaluated at this point shares.  Read it only
         once the assignment is complete."""
         return IntegerPoint(self.assignment)
-
-    def curve(self, ctx: JetContext) -> list:
-        """The curve germ whose n-jet the point is: one truncated series
-        [z_i, z_i'/1!, ..., z_i^(n)/n!] per coordinate."""
-        return [
-            [self.value(coord(i))]
-            + [Fraction(self.value(jet(i, lam)), math.factorial(lam)) for lam in range(1, ctx.n + 1)]
-            for i in range(1, ctx.nvars + 1)
-        ]
 
     def to_json(self) -> str:
         data = {var_name(v): str(Fraction(val)) for v, val in sorted(self.assignment.items())}
@@ -371,26 +368,35 @@ def lift_vertical_jet(base: dict, ctx: JetContext, chart: int, rng: random.Rando
     equations (the power-jet system is invertible there)."""
     assignment = dict(base)
     point = JetPoint(assignment=assignment, chart=chart)
-    series = point.series(ctx)
+    s, series = point.series(ctx)
     # E_kappa = kappa! [t^kappa] sum_alpha a_alpha z(t)^alpha: a_0 enters E_0
-    # only, and the last n equations are linear in the solved chain
+    # only, and the last n equations are linear in the solved chain.  Over
+    # q * s^d, q the lcm of the drawn denominators, the known part of the
+    # sum is the integer series K = sum_alpha (q a_alpha) s^(d-|alpha|) I_alpha
     solved = power_chain(ctx, chart)
     zero_alpha = (0,) * ctx.nvars
-    known = series[ctx.normalized_exponent]
-    for alpha in ctx.coeff_exponents:
-        if alpha != zero_alpha and alpha not in solved:
-            a = assignment[ctx.coeff_var(alpha)] = random_rational(rng)
-            known = [x + a * s for x, s in zip(known, series[alpha])]
-    matrix = [
-        [math.factorial(kap) * series[alpha][kap] for alpha in solved]
-        for kap in range(1, ctx.n + 1)
+    drawn = [
+        (alpha, v)
+        for alpha, v in zip(ctx.coeff_exponents, ctx.coeff_vars)
+        if alpha != zero_alpha and alpha not in solved
     ]
-    rhs = [-math.factorial(kap) * known[kap] for kap in range(1, ctx.n + 1)]
-    solution = solve_linear_exact(matrix, rhs)
-    for alpha, val in zip(solved, solution):
-        a = assignment[ctx.coeff_var(alpha)] = Fraction(val.constant_value())
-        known = [x + a * s for x, s in zip(known, series[alpha])]
-    assignment[ctx.coeff_var(zero_alpha)] = -Fraction(known[0])
+    for _, v in drawn:
+        assignment[v] = random_rational(rng)
+    q = math.lcm(*(assignment[v].denominator for _, v in drawn))
+    powers = [s**k for k in range(ctx.d + 1)]
+    known = [q * x for x in series[ctx.normalized_exponent]]
+    for alpha, v in drawn:
+        a = assignment[v]
+        c = a.numerator * (q // a.denominator) * powers[ctx.d - mi_total(alpha)]
+        known = [x + c * y for x, y in zip(known, series[alpha])]
+    # E_1..E_n times q * s^d / kappa!, linear in y_k = a_(k e_chart) q s^(d-k)
+    matrix = [[series[alpha][kap] for alpha in solved] for kap in range(1, ctx.n + 1)]
+    solution = [y.constant_value() for y in solve_linear_exact(matrix, [-x for x in known[1:]])]
+    scale = q * powers[ctx.d]
+    for k, (alpha, y) in enumerate(zip(solved, solution), start=1):
+        assignment[coeff(alpha)] = Fraction(y * powers[k], scale)
+    e0 = known[0] + sum(y * series[alpha][0] for alpha, y in zip(solved, solution))
+    assignment[coeff(zero_alpha)] = Fraction(-e0, scale)
 
     ipoint = point.integer_point
     if any(form.numerator(ipoint) for form in _equation_forms(ctx)):
@@ -414,46 +420,48 @@ def first_jets_all_zero(point: JetPoint, ctx: JetContext) -> bool:
     return all(point.value(jet(i, 1)) == 0 for i in range(1, ctx.nvars + 1))
 
 
-def jet_matrix_rank(point: JetPoint, ctx: JetContext) -> int:
-    rows = [
-        [point.value(jet(i, lam)) for lam in range(1, ctx.n + 1)]
-        for i in range(1, ctx.nvars + 1)
-    ]
-    return rank_rational(rows)
-
-
-def wronskians_all_zero(point: JetPoint, ctx: JetContext) -> bool:
-    """Membership in the locus where all n x n minors of the (n+1) x n jet
-    matrix vanish, i.e. the jet matrix has rank < n."""
-    return jet_matrix_rank(point, ctx) < ctx.n
-
-
 def jacobian_matrix_at(point: JetPoint, ctx: JetContext):
     """The (n+1) x ambient Jacobian of the defining equations at the point,
     read off the monomial series along its curve germ: dE_kappa/da_alpha is
     kappa! [t^kappa] z(t)^alpha.  By the commutation rule
     d(D^kappa f)/dz^(lam) = C(kappa, lam) D^(kappa-lam)(df/dz), with z^(0) = z,
     dE_kappa/dz_i^(lam) is C(kappa, lam) (kappa-lam)! [t^(kappa-lam)] G_i for
-    lam <= kappa and 0 above, where G_i = sum_alpha a_alpha alpha_i z(t)^(alpha - e_i)."""
-    n = ctx.n
-    series = point.series(ctx)
-    coeffs = {alpha: point.value(ctx.coeff_var(alpha)) for alpha in ctx.coeff_exponents}
+    lam <= kappa and 0 above, where G_i = sum_alpha a_alpha alpha_i z(t)^(alpha - e_i).
+
+    Every row is built in integers times R = Q s^d, Q the lcm of the
+    coefficients' denominators and (s, I) the point's series, and divided by
+    R once at the end: a coefficient column is kappa! Q s^(d-|alpha|) I_alpha,
+    and R G_i is the integer series
+    sum_alpha (Q a_alpha) alpha_i s^(d+1-|alpha|) I_(alpha - e_i)."""
+    n, d = ctx.n, ctx.d
+    s, series = point.series(ctx)
+    coeffs = {alpha: point.value(v) for alpha, v in zip(ctx.coeff_exponents, ctx.coeff_vars)}
+    q = math.lcm(*(a.denominator for a in coeffs.values()))
     coeffs[ctx.normalized_exponent] = 1
+    powers = [s**k for k in range(d + 2)]
     grads = [[0] * (n + 1) for _ in range(ctx.nvars)]
     for alpha, a in coeffs.items():
+        if not a:
+            continue
+        c = a.numerator * (q // a.denominator) * powers[d + 1 - mi_total(alpha)]
         for i, e in enumerate(alpha):
-            if e and a:
+            if e:
                 parent = alpha[:i] + (e - 1,) + alpha[i + 1:]
-                grads[i] = [x + e * a * s for x, s in zip(grads[i], series[parent])]
+                grads[i] = [x + e * c * y for x, y in zip(grads[i], series[parent])]
 
     def jet_entry(kappa, lam, i):
         if lam > kappa:
             return 0
         return math.comb(kappa, lam) * math.factorial(kappa - lam) * grads[i][kappa - lam]
 
-    return [
+    rows = [
         [jet_entry(kappa, 0, i) for i in range(ctx.nvars)]
-        + [math.factorial(kappa) * series[alpha][kappa] for alpha in ctx.coeff_exponents]
+        + [
+            math.factorial(kappa) * q * powers[d - mi_total(alpha)] * series[alpha][kappa]
+            for alpha in ctx.coeff_exponents
+        ]
         + [jet_entry(kappa, lam, i) for lam in range(1, n + 1) for i in range(ctx.nvars)]
         for kappa in range(n + 1)
     ]
+    scale = q * powers[d]
+    return [[Fraction(x, scale) for x in row] for row in rows]

@@ -1,8 +1,12 @@
 """Exact reference checks that only the tests call: the rank of the Jacobian
-over Q and polynomial divisibility."""
+over Q, polynomial divisibility, iterated total derivatives, the rank of the
+jet matrix and the split identity behind the shifted coefficient fields."""
 
-from jetframes.algebra import Polynomial, rank_rational
-from jetframes.jetspace import JetContext, JetPoint, jacobian_matrix_at
+from itertools import product
+from typing import Sequence
+
+from jetframes.algebra import Polynomial, binomial_product, coord, jet, mi_sub, rank_rational
+from jetframes.jetspace import JetContext, JetPoint, jacobian_matrix_at, total_derivative
 
 
 def jacobian_rank_at(point: JetPoint, ctx: JetContext) -> int:
@@ -16,3 +20,44 @@ def divisible_by(p: Polynomial, divisor: Polynomial) -> bool:
         return True
     except ValueError:
         return False
+
+
+def iterated_total_derivative(p: Polynomial, order: int, ctx: JetContext) -> Polynomial:
+    for _ in range(order):
+        p = total_derivative(p, ctx)
+    return p
+
+
+def jet_matrix_rank(point: JetPoint, ctx: JetContext) -> int:
+    rows = [
+        [point.value(jet(i, lam)) for lam in range(1, ctx.n + 1)]
+        for i in range(1, ctx.nvars + 1)
+    ]
+    return rank_rational(rows)
+
+
+def wronskians_all_zero(point: JetPoint, ctx: JetContext) -> bool:
+    """Membership in the locus where all n x n minors of the (n+1) x n jet
+    matrix vanish, i.e. the jet matrix has rank < n."""
+    return jet_matrix_rank(point, ctx) < ctx.n
+
+
+def shift_split_identity(alpha, ell, js: Sequence[int], e1: int, ctx: JetContext) -> Polynomial:
+    """The split sum over s <= ell of
+    (-1)^{|s|} (ell choose s)  d^{e1}(z^{alpha-s})/dz_{j_1..j_{e1}} *
+    d^{e-e1}(z^s)/dz_{j_{e1+1}..j_e};
+    identically zero for every derivative count e <= n and every splitting."""
+    alpha, ell = tuple(alpha), tuple(ell)
+    total = Polynomial.zero()
+    first, second = js[:e1], js[e1:]
+    for sub in product(*(range(l + 1) for l in ell)):
+        sign = -1 if sum(sub) % 2 else 1
+        c = sign * binomial_product(ell, sub)
+        p1 = ctx.monomial_z(mi_sub(alpha, sub))
+        for j in first:
+            p1 = p1.diff(coord(j))
+        p2 = ctx.monomial_z(sub)
+        for j in second:
+            p2 = p2.diff(coord(j))
+        total = total + c * p1 * p2
+    return total

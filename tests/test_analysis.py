@@ -430,7 +430,8 @@ def test_spanning_both_variants_small_case():
 
 def test_sampler_avoids_degenerate_loci():
     from jetframes.analysis import sample_for_variant
-    from jetframes.jetspace import first_jets_all_zero, wronskians_all_zero
+    from jetframes.jetspace import first_jets_all_zero
+    from reference_helpers import wronskians_all_zero
 
     ctx = CTX23
     w = classical_wronskian(ctx)

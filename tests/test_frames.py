@@ -28,7 +28,6 @@ from jetframes.frames import (
     jet_field_block,
     jet_linear_field,
     matrix_partials,
-    shift_split_identity,
     shifted_coefficient_field,
     solve_jet_field_coefficients,
 )
@@ -39,6 +38,8 @@ from jetframes.jetspace import (
     total_derivative,
 )
 from jetframes.wronskian import VARIANT_CLASSICAL, VARIANT_POWER
+
+from reference_helpers import shift_split_identity
 
 CTX23 = JetContext(2, 3)
 CTX34 = JetContext(3, 4)

@@ -1,29 +1,27 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 import pytest
 
 from jetframes import jetspace
-from jetframes.algebra import JET, Polynomial, coord, iter_terms, jet
+from jetframes.algebra import JET, Polynomial, coord, enumerate_exponents, iter_terms, jet
 from jetframes.jetspace import (
     JetContext,
     defining_equations_iterated,
     defining_equations_partition_sum,
     first_jets_all_zero,
-    iterated_total_derivative,
     jacobian_matrix_at,
-    jet_matrix_rank,
     jet_weight_partitions,
     partition_coefficient,
     random_rational,
     sample_vertical_jet,
     total_derivative,
     universal_polynomial,
-    wronskians_all_zero,
     JetPoint,
 )
 
-from reference_helpers import jacobian_rank_at
+from reference_helpers import iterated_total_derivative, jacobian_rank_at, jet_matrix_rank, wronskians_all_zero
 
 CTX23 = JetContext(2, 3)
 CTX34 = JetContext(3, 4)
@@ -432,7 +430,42 @@ def test_jacobian_reads_the_series_the_sampler_built(monkeypatch):
     point = sample_vertical_jet(CTX23, chart=1, rng=3)
     jacobian_matrix_at(point, CTX23)
     assert calls == [CTX23]
-    assert point.series(CTX23) == series(point.curve(CTX23), CTX23)
+    s, cached = point.series(CTX23)
+    reference = _rational_series(point, CTX23)
+    assert cached.keys() == reference.keys()
+    for alpha, integers in cached.items():
+        assert [Fraction(x, s ** sum(alpha)) for x in integers] == reference[alpha], alpha
+
+
+def _rational_series(point, ctx):
+    """{alpha: z(t)^alpha mod t^(n+1)} in Fractions, one coordinate factor at
+    a time, along z_i(t) = sum_lam z_i^(lam) t^lam / lam!."""
+    curve = [
+        [point.value(coord(i))]
+        + [Fraction(point.value(jet(i, lam)), math.factorial(lam)) for lam in range(1, ctx.n + 1)]
+        for i in range(1, ctx.nvars + 1)
+    ]
+    out = {}
+    for alpha in enumerate_exponents(ctx.nvars, ctx.d):
+        acc = [Fraction(1)] + [Fraction(0)] * ctx.n
+        for i, e in enumerate(alpha):
+            for _ in range(e):
+                acc = [sum(acc[m] * curve[i][k - m] for m in range(k + 1)) for k in range(ctx.n + 1)]
+        out[alpha] = acc
+    return out
+
+
+def test_sampled_points_are_pinned():
+    # the draws and solved values at (1,2), (2,3), (3,4) on every chart, seeds 0-3
+    lines = []
+    for n, d in ((1, 2), (2, 3), (3, 4)):
+        ctx = JetContext(n, d)
+        for chart in range(1, ctx.nvars + 1):
+            for seed in range(4):
+                lines.append(sample_vertical_jet(ctx, chart, seed).to_json())
+    assert len(lines) == 36
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5c01867056c843f44060774563633dd8e24e626f47cbb07d77c4a480c5c14f2e"
 
 
 def test_failed_certification_names_the_point(monkeypatch):

@@ -1,5 +1,6 @@
 """Property tests of the polynomial kernel, with hypothesis (test-only)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,19 +14,22 @@ from jetframes.algebra import (  # noqa: E402
     IntegerPolynomial,
     Polynomial,
     VectorField,
+    _integer_rows,
     coeff,
     common_integer_forms,
     coord,
     det_cofactor,
     enumerate_exponents,
+    integer_bareiss,
     iter_terms,
     jet,
     mat,
+    rank_rational,
     solve_linear_exact,
     sum_terms,
     unit_index,
 )
-from jetframes.jetspace import JetContext, monomial_series  # noqa: E402
+from jetframes.jetspace import JetContext, JetPoint, monomial_series  # noqa: E402
 
 # one variable of every kind a table or an equation can hold
 VARIABLES = (coord(1), coord(2), jet(1, 1), jet(2, 2), coeff((0, 1)), coeff((1, 0)), mat(1, 2))
@@ -235,3 +239,49 @@ def test_monomial_series_multiply_as_truncated_series(case):
     assert series[total] == _truncated_product(series[alpha], series[beta])
     for i in range(1, ctx.nvars + 1):
         assert series[unit_index(ctx.nvars, i)] == curve[i - 1]
+
+
+@st.composite
+def jet_points(draw):
+    """A context and a point with random rational coordinates and jets."""
+    ctx = draw(st.sampled_from([JetContext(1, 2), JetContext(2, 3), JetContext(3, 4)]))
+    values = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return ctx, JetPoint(assignment={v: draw(values) for v in ctx.coord_vars + ctx.jet_vars})
+
+
+@settings(max_examples=100, deadline=None)
+@given(jet_points())
+def test_integer_series_is_the_rational_series_scaled(case):
+    ctx, point = case
+    s, series = point.series(ctx)
+    curve = [
+        [point.value(coord(i))] + [point.value(jet(i, lam)) / math.factorial(lam) for lam in range(1, ctx.n + 1)]
+        for i in range(1, ctx.nvars + 1)
+    ]
+    rational = monomial_series(curve, ctx)
+    assert all(type(x) is int for xs in series.values() for x in xs)
+    assert series == {alpha: [s ** sum(alpha) * x for x in xs] for alpha, xs in rational.items()}
+
+
+@st.composite
+def matrices_and_row_scales(draw):
+    """A rational matrix, some of whose rows repeat others times a constant
+    (so low ranks are common), and one nonzero integer per row."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entries = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    for k in draw(st.lists(st.integers(min_value=0, max_value=len(rows) - 1), max_size=3)):
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=2))
+        rows.append([c * x for x in rows[k]])
+    nonzero = st.integers(min_value=-(2**40), max_value=2**40).filter(bool)
+    scales = draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+    return rows, scales
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_and_row_scales())
+def test_scaling_rows_by_nonzero_integers_keeps_the_rank(case):
+    rows, scales = case
+    rank = rank_rational(rows)
+    assert rank == integer_bareiss(_integer_rows(rows)[0])[0]  # Bareiss without the content division
+    assert rank_rational([[c * x for x in row] for c, row in zip(scales, rows)]) == rank

@@ -25,13 +25,12 @@ from jetframes.jetspace import (
     JetContext,
     first_jets_all_zero,
     jacobian_matrix_at,
-    jet_matrix_rank,
     lift_vertical_jet,
     random_rational,
 )
 from jetframes.wronskian import VARIANT_POWER, VARIANTS, solved_exponents, system_determinant
 
-from reference_helpers import jacobian_rank_at
+from reference_helpers import jacobian_rank_at, jet_matrix_rank
 
 CONTEXTS = [(1, 2), (2, 3), (3, 4)]
 
@@ -229,3 +228,14 @@ def test_jacobian_minor_on_the_solved_slots_is_w(n, d):
             point = analysis.sample_for_variant(ctx, 1, variant, rng)
             minor = [[row[j] for j in columns] for row in jacobian_matrix_at(point, ctx)]
             assert determinant(minor).constant_value() == w.evaluate(point.assignment) != 0
+
+
+def test_spanning_check_takes_the_exact_rank_at_a_rank_one_point(monkeypatch):
+    # the certificate declines on Sigma minus Sigma-tilde, so rank_rational
+    # decides on the frame's rows as spanning_check scales them
+    ctx = JetContext(3, 4)
+    point = _low_rank_point(ctx, 1, random.Random(43))
+    monkeypatch.setattr(analysis, "sample_for_variant", lambda *args: point)
+    (trial,) = spanning_check(ctx, chart=1, trials=1, variant=VARIANT_POWER)
+    assert trial.tangent_ok and trial.jacobian_rank == ctx.n + 1
+    assert (trial.rank, trial.expected_rank) == (73, 81)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jetframes.algebra import Polynomial, coord, determinant, iter_terms, jet
-from jetframes.jetspace import JetContext, iterated_total_derivative, power_chain
+from jetframes.jetspace import JetContext, power_chain
 from jetframes.wronskian import (
     VARIANT_CLASSICAL,
     VARIANT_POWER,
@@ -19,6 +19,8 @@ from jetframes.wronskian import (
     system_matrix,
 )
 from jetframes.algebra import enumerate_exponents
+
+from reference_helpers import iterated_total_derivative
 
 
 def test_power_wronskian_n1():
