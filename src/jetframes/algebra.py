@@ -672,30 +672,6 @@ class UnderdeterminedSystem(LinearSolveError):
     """The solution is not unique on the requested unknowns."""
 
 
-def det_cofactor(matrix: Sequence[Sequence]) -> Polynomial:
-    """Naive cofactor expansion; reference implementation for cross-checks."""
-    m = [[_as_poly(x) for x in row] for row in matrix]
-    _require_square(m)
-    return _det_cofactor(m)
-
-
-def _det_cofactor(m) -> Polynomial:
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    if k == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = Polynomial()
-    sign = 1
-    for j in range(k):
-        a = m[0][j]
-        if not a.is_zero():
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            total = total + sign * a * _det_cofactor(minor)
-        sign = -sign
-    return total
-
-
 def integer_bareiss(
     matrix: Sequence[Sequence[int]], rhs: Sequence | None = None
 ) -> tuple[int, int, list | None]:
@@ -704,15 +680,16 @@ def integer_bareiss(
     of a matrix entry is exact.  The determinant is 0 unless the matrix is
     square of full rank.
 
-    Without rhs the solution is None.  With rhs (one scalar or polynomial per
-    row), the right sides go through the same row operations, their division
-    by the previous pivot being multiplication by its inverse, which is exact
-    over Q; the solution of matrix * x = rhs is then read off by back
-    substitution.  InconsistentSystem is raised when a right side survives on
-    a row that reduced to zero, and UnderdeterminedSystem, after it, when the
-    rank is below the number of unknowns."""
+    Without rhs the solution is None.  With rhs (scalars or polynomials, one
+    per row), the right sides go through the same row operations: an int
+    stays an int, a minor of the augmented matrix, and any other is divided
+    by multiplying by the pivot's inverse.  Back substitution then gives the
+    solution of matrix * x = rhs, in scalars for scalar right sides.
+    InconsistentSystem is raised when a right side survives on a row that
+    reduced to zero, and UnderdeterminedSystem, after it, when the rank is
+    below the number of unknowns."""
     rows = [list(row) for row in matrix]
-    b = None if rhs is None else [_as_poly(x) for x in rhs]
+    b = None if rhs is None else list(rhs)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     sign = 1
@@ -742,19 +719,20 @@ def integer_bareiss(
             row[r + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[r + 1:], top[r + 1:])]
             row[r] = 0
             if b is not None:
-                b[i] = (b[i] * pivot - b[r] * f) * Fraction(1, prev)
+                t = b[i] * pivot - b[r] * f
+                b[i] = t // prev if type(t) is int else t * Fraction(1, prev)
         prev = pivot
         rank += 1
     det = sign * prev if rank == nrows == ncols else 0
     if b is None:
         return rank, det, None
     for r in range(rank, nrows):
-        if not b[r].is_zero():
-            raise InconsistentSystem(f"row {r} reduces to 0 = {b[r].to_text()}")
+        if b[r] != 0:
+            raise InconsistentSystem(f"row {r} reduces to 0 = {_as_poly(b[r]).to_text()}")
     if rank < ncols:
         raise UnderdeterminedSystem(f"rank {rank} < {ncols} unknowns: solution not unique")
     # rank == ncols, so no column was swapped: row r has its pivot in column r
-    x: list = [ZERO] * ncols
+    x: list = [0] * ncols
     for r in range(ncols - 1, -1, -1):
         acc = b[r]
         for j in range(r + 1, ncols):
@@ -883,31 +861,3 @@ def rank_rational(matrix: Sequence[Sequence]) -> int:
         content = math.gcd(*row)
         rows.append([x // content for x in row] if content > 1 else row)
     return integer_bareiss(rows)[0]
-
-
-# A 61-bit prime: a nonzero integer minor vanishes modulo it only by rare
-# accident, and residues stay small Python ints.
-MODULUS = 2**61 - 1
-
-
-def rank_modular(matrix: Sequence[Sequence]) -> int:
-    """Rank modulo MODULUS of the matrix with rows scaled to integers.  It
-    never exceeds the rank over Q (a minor nonzero mod p is nonzero), so it
-    certifies the rank exactly when it reaches a proven upper bound."""
-    rows = [[x % MODULUS for x in row] for row in _integer_rows(matrix)[0]]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        inv = pow(top[col], -1, MODULUS)
-        tail = top[col + 1:]
-        for row in rows[rank + 1:]:
-            if row[col]:
-                f = row[col] * inv % MODULUS
-                row[col + 1:] = [(x - f * y) % MODULUS for x, y in zip(row[col + 1:], tail)]
-        rank += 1
-    return rank

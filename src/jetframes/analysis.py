@@ -27,7 +27,6 @@ from .algebra import (
     Polynomial,
     VectorField,
     Variable,
-    _integer_rows,
     adjugate,
     common_integer_forms,
     coord,
@@ -36,7 +35,6 @@ from .algebra import (
     jet,
     mi_total,
     phi,
-    rank_modular,
     rank_rational,
     sum_terms,
     var_name,
@@ -150,16 +148,6 @@ def chart_change_oracle(p: Polynomial, upsilon: int, ctx: JetContext) -> tuple:
     return total, exp
 
 
-def monomial_oracle_order(p: Polynomial, upsilon: int, ctx: JetContext) -> int:
-    """Independent oracle for pole_order: transport each monomial separately
-    (no cross-term cancellation) and take the largest reduced exponent."""
-    best = 0
-    for pairs, c in iter_terms(p):
-        _, exp = chart_change_oracle(Polynomial.monomial(pairs, c), upsilon, ctx)
-        best = max(best, exp)
-    return best
-
-
 # -- pole table -------------------------------------------------------------------
 
 
@@ -199,14 +187,14 @@ def _integer_curve_columns(ctx: JetContext, rng: random.Random):
     return curve
 
 
-def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345) -> PoleTableReport:
+def verify_pole_table(ctx: JetContext, seed: int = 12345) -> PoleTableReport:
     """Compare computed pole orders of the named determinants against their
-    closed forms.  For n <= expand_limit every object is fully expanded; above
-    that, determinant orders are computed structurally (all candidate
-    monomials share one weight because each matrix entry is weight-uniform
-    with row+column additive weights) with exact integer nonvanishing
-    certificates along a random curve, falling back to expansion if a
-    certificate draws zero."""
+    closed forms.  The two Wronskians are expanded.  A Cramer coefficient is
+    a determinant with entries D^kappa(z^beta); where each entry is uniform
+    of weight |beta| + kappa (checked once per call), every monomial of its
+    expansion has the claimed weight, so a nonzero exact integer value along
+    a random curve proves its order without expanding it.  A row is expanded
+    where that premise fails or its value draws zero."""
     n = ctx.n
     rng = random.Random(seed)
     rows = []
@@ -225,7 +213,14 @@ def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345)
     )
     alternate = (n + 1) * (n + 2) // 2
 
-    expand = n <= expand_limit
+    # D sends each coordinate and jet below order n to a uniform polynomial of
+    # one more weight; D being a derivation, each nonzero D^kappa(z^beta) is
+    # then uniform of weight |beta| + kappa
+    structural = all(
+        pole_order(total_derivative(Polynomial.var(v), ctx)) == (variable_weight(v) + 1, True)
+        for v in ctx.coord_vars + ctx.jet_vars
+        if v[0] == COORD or v[2] < n
+    )
     series = monomial_series(_integer_curve_columns(ctx, rng), ctx)
 
     def column(alpha):
@@ -253,7 +248,7 @@ def verify_pole_table(ctx: JetContext, expand_limit: int = 3, seed: int = 12345)
             coeffs = None
             for k in range(n + 1):
                 name = f"cramer[{label},a={alpha},k={k}]"
-                if not expand and values[k] != 0:
+                if structural and values[k] != 0:
                     rows.append(PoleRow(name, claimed[k], claimed[k], True, True, "structural"))
                 else:
                     if coeffs is None:
@@ -606,17 +601,15 @@ def spanning_check(
 
     All of it runs on integer rows: each field's row is its value times
     scale * D^degree (its integer forms, built once per call, share one scale
-    and degree; D is the point's common denominator), and each Jacobian row is
-    scaled to integers.  Scaling a row by a nonzero integer changes neither
-    tangency nor any rank.
+    and degree; D is the point's common denominator), and jacobian_matrix_at
+    gives the Jacobian times one integer.  Scaling a row by a nonzero integer
+    changes neither tangency nor any rank.
 
-    The Jacobian's rank is first taken modulo a prime, which never exceeds
-    the rank over Q; it has n+1 rows, so a modular rank of n+1 is exact.
-    Tangent fields lie in ker J, of dimension expected once rank J = n+1, so
-    the field rank is at most expected.  The frame's span_pattern, read once
-    per call, proves it at least expected wherever its pivots hold.  Where
-    they fail, or the fields break the pattern, a modular rank of expected is
-    exact too.  Otherwise rank_rational decides."""
+    The Jacobian's n+1 rows are ranked exactly.  Tangent fields lie in ker J,
+    of dimension expected once rank J = n+1, so the field rank is at most
+    expected.  The frame's span_pattern, read once per call, proves it at
+    least expected wherever its pivots hold.  Where they fail, or the fields
+    break the pattern, rank_rational decides."""
     rng = random.Random(seed)
     if fields is None:
         fields = enumerate_frame(ctx, chart, variant)
@@ -630,9 +623,8 @@ def spanning_check(
     for t in range(trials):
         point = sample_for_variant(ctx, chart, variant, rng)
         ipoint = point.integer_point
-        jac = _integer_rows(jacobian_matrix_at(point, ctx))[0]
-        jac_certified = rank_modular(jac) == ctx.n + 1
-        jrank = ctx.n + 1 if jac_certified else rank_rational(jac)
+        jac = jacobian_matrix_at(point, ctx)[0]
+        jrank = rank_rational(jac)
         vectors = []
         tangent_ok = True
         offender = None
@@ -647,9 +639,7 @@ def spanning_check(
                     tangent_ok = False
                     offender = offender or f.label
                     break
-        if tangent_ok and jac_certified and (
-            (pattern is not None and pattern.certifies(vectors)) or rank_modular(vectors) == expected
-        ):
+        if tangent_ok and jrank == ctx.n + 1 and pattern is not None and pattern.certifies(vectors):
             rank = expected
         else:
             rank = rank_rational(vectors)

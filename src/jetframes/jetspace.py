@@ -30,10 +30,10 @@ from .algebra import (
     coord,
     enumerate_exponents,
     falling_product,
+    integer_bareiss,
     jet,
     mi_sub,
     mi_total,
-    solve_linear_exact,
     sum_terms,
     unit_index,
     var_name,
@@ -391,7 +391,7 @@ def lift_vertical_jet(base: dict, ctx: JetContext, chart: int, rng: random.Rando
         known = [x + c * y for x, y in zip(known, series[alpha])]
     # E_1..E_n times q * s^d / kappa!, linear in y_k = a_(k e_chart) q s^(d-k)
     matrix = [[series[alpha][kap] for alpha in solved] for kap in range(1, ctx.n + 1)]
-    solution = [y.constant_value() for y in solve_linear_exact(matrix, [-x for x in known[1:]])]
+    solution = integer_bareiss(matrix, [-x for x in known[1:]])[2]
     scale = q * powers[ctx.d]
     for k, (alpha, y) in enumerate(zip(solved, solution), start=1):
         assignment[coeff(alpha)] = Fraction(y * powers[k], scale)
@@ -420,17 +420,17 @@ def first_jets_all_zero(point: JetPoint, ctx: JetContext) -> bool:
     return all(point.value(jet(i, 1)) == 0 for i in range(1, ctx.nvars + 1))
 
 
-def jacobian_matrix_at(point: JetPoint, ctx: JetContext):
-    """The (n+1) x ambient Jacobian of the defining equations at the point,
-    read off the monomial series along its curve germ: dE_kappa/da_alpha is
-    kappa! [t^kappa] z(t)^alpha.  By the commutation rule
+def jacobian_matrix_at(point: JetPoint, ctx: JetContext) -> tuple:
+    """(rows, R): the (n+1) x ambient Jacobian of the defining equations at
+    the point, times R and in integers, read off the monomial series along
+    its curve germ: dE_kappa/da_alpha is kappa! [t^kappa] z(t)^alpha.  By
+    the commutation rule
     d(D^kappa f)/dz^(lam) = C(kappa, lam) D^(kappa-lam)(df/dz), with z^(0) = z,
     dE_kappa/dz_i^(lam) is C(kappa, lam) (kappa-lam)! [t^(kappa-lam)] G_i for
     lam <= kappa and 0 above, where G_i = sum_alpha a_alpha alpha_i z(t)^(alpha - e_i).
 
-    Every row is built in integers times R = Q s^d, Q the lcm of the
-    coefficients' denominators and (s, I) the point's series, and divided by
-    R once at the end: a coefficient column is kappa! Q s^(d-|alpha|) I_alpha,
+    R = Q s^d, Q the lcm of the coefficients' denominators and (s, I) the
+    point's series: a coefficient column is kappa! Q s^(d-|alpha|) I_alpha,
     and R G_i is the integer series
     sum_alpha (Q a_alpha) alpha_i s^(d+1-|alpha|) I_(alpha - e_i)."""
     n, d = ctx.n, ctx.d
@@ -463,5 +463,4 @@ def jacobian_matrix_at(point: JetPoint, ctx: JetContext):
         + [jet_entry(kappa, lam, i) for lam in range(1, n + 1) for i in range(ctx.nvars)]
         for kappa in range(n + 1)
     ]
-    scale = q * powers[d]
-    return [[Fraction(x, scale) for x in row] for row in rows]
+    return rows, q * powers[d]

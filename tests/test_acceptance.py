@@ -41,7 +41,6 @@ from jetframes.analysis import (
     action_coefficients_symbolic,
     chart_change_oracle,
     invariance_check,
-    monomial_oracle_order,
     pole_order,
     spanning_check,
     verify_pole_table,
@@ -74,7 +73,7 @@ from jetframes.wronskian import (
     power_wronskian_closed_form,
 )
 
-from reference_helpers import jacobian_rank_at
+from reference_helpers import jacobian_rank_at, monomial_oracle_order
 
 
 def _degrees(mono) -> tuple:

@@ -18,19 +18,17 @@ from jetframes.algebra import (
     binomial_product,
     coeff,
     coord,
-    det_cofactor,
     determinant,
     enumerate_exponents,
     falling_product,
     iter_terms,
     jet,
-    rank_modular,
     rank_rational,
     solve_linear_exact,
     var_name,
 )
 
-from reference_helpers import divisible_by
+from reference_helpers import det_cofactor, divisible_by
 
 z1 = Polynomial.var(coord(1))
 z2 = Polynomial.var(coord(2))
@@ -239,19 +237,6 @@ def test_determinant_and_rank_match_sympy_up_to_20x20():
         assert rank_rational(m) == _sympy_qq_matrix(m).rank() == rank
 
 
-def test_modular_rank_never_exceeds_rational_rank():
-    rng = random.Random(61)
-    for nrows, ncols in ((1, 1), (3, 7), (7, 3), (9, 9), (14, 20), (25, 12)):
-        for rank in range(0, min(nrows, ncols) + 1, 2):
-            m = _random_rational_matrix(rng, nrows, ncols, rank=rank) if rank else [[0] * ncols] * nrows
-            assert rank_modular(m) <= rank_rational(m) <= rank
-    # rows that differ by a multiple of the modulus: rank 2 over Q, 1 mod p
-    from jetframes.algebra import MODULUS
-
-    m = [[1, 1], [1, 1 + MODULUS]]
-    assert rank_modular(m) == 1 < rank_rational(m) == 2
-
-
 def test_integer_rows_pass_int_rows_through(monkeypatch):
     import jetframes.algebra as algebra
 
@@ -264,14 +249,7 @@ def test_integer_rows_pass_int_rows_through(monkeypatch):
     monkeypatch.setattr(algebra, "Fraction", None)
     rows, scales = algebra._integer_rows(ints)
     assert all(a is b for a, b in zip(rows, ints)) and scales == [1, 1, 1]
-    assert algebra.rank_modular(ints) == algebra.rank_rational(ints) == 2
-
-
-def test_modular_rank_matches_sympy_on_full_rank_matrices():
-    rng = random.Random(62)
-    for nrows, ncols in ((1, 4), (5, 5), (8, 3), (12, 17), (20, 20)):
-        m = _random_rational_matrix(rng, nrows, ncols)
-        assert rank_modular(m) == _sympy_qq_matrix(m).rank() == min(nrows, ncols)
+    assert algebra.rank_rational(ints) == 2
 
 
 def test_solve_identity():

@@ -14,7 +14,6 @@ from jetframes.analysis import (
     chart_transfer_pairs,
     field_vector,
     invariance_check,
-    monomial_oracle_order,
     pole_order,
     pushforward_field,
     sample_for_variant,
@@ -44,6 +43,7 @@ from jetframes.wronskian import (
     power_wronskian,
 )
 
+from reference_helpers import monomial_oracle_order
 from reparam_helpers import inverse_jet, reparam_action, reparam_point, reparam_polynomial
 
 CTX23 = JetContext(2, 3)
@@ -237,13 +237,52 @@ def test_pole_table_small_n_values():
     assert rep3.c_classical == 12
 
 
+def _expanded_cramer_orders(ctx):
+    """{row name: PoleOrder} of every Cramer coefficient the pole table
+    names, each expanded here."""
+    from jetframes.wronskian import cramer_coefficients
+
+    return {
+        f"cramer[{label},a={alpha},k={k}]": pole_order(b)
+        for variant, label in VARIANTS
+        for alpha in admissible_coefficient_exponents(variant, ctx, 1)
+        for k, b in enumerate(cramer_coefficients(variant, alpha, ctx, 1).b)
+    }
+
+
+def _cramer_rows(report):
+    return {r.name: r for r in report.rows if r.name.startswith("cramer[")}
+
+
+def _break_the_premise(monkeypatch):
+    """Give D(z_1) a term of lower weight, in analysis only: the pole table's
+    premise fails, while the Cramer vectors are still solved with the true D."""
+    import jetframes.analysis as analysis
+
+    real = analysis.total_derivative
+    z1 = Polynomial.var(coord(1))
+    monkeypatch.setattr(analysis, "total_derivative", lambda p, ctx: real(p, ctx) + (p if p == z1 else 0))
+
+
 def test_pole_table_structural_path_agrees_with_expansion():
     for ctx in (CTX23, CTX34):
-        expanded = verify_pole_table(ctx, expand_limit=ctx.n)
-        structural = verify_pole_table(ctx, expand_limit=0)
-        ex = {r.name: (r.claimed, r.computed, r.match) for r in expanded.rows}
-        st = {r.name: (r.claimed, r.computed, r.match) for r in structural.rows}
-        assert ex == st
+        rows = _cramer_rows(verify_pole_table(ctx))
+        assert all(r.method == "structural" for r in rows.values())
+        expanded = _expanded_cramer_orders(ctx)
+        assert {name: (r.computed, r.uniform) for name, r in rows.items()} == {
+            name: (po.order, po.uniform) for name, po in expanded.items()
+        }
+
+
+def test_pole_table_expands_every_row_when_the_premise_fails(monkeypatch):
+    reference = verify_pole_table(CTX23)
+    _break_the_premise(monkeypatch)
+    report = verify_pole_table(CTX23)
+    rows = _cramer_rows(report)
+    assert rows and all(r.method == "expanded" for r in rows.values())
+    assert [(r.name, r.computed, r.uniform, r.match) for r in report.rows] == [
+        (r.name, r.computed, r.uniform, r.match) for r in reference.rows
+    ]
 
 
 def test_pole_table_solves_each_cramer_vector_once(monkeypatch):
@@ -257,7 +296,10 @@ def test_pole_table_solves_each_cramer_vector_once(monkeypatch):
         return real(variant, alpha, ctx, chart)
 
     monkeypatch.setattr(analysis, "cramer_coefficients", spy)
-    verify_pole_table(CTX34)  # n <= expand_limit: every row is expanded
+    verify_pole_table(CTX34)  # the premise holds and no certificate draws zero
+    assert calls == []
+    _break_the_premise(monkeypatch)
+    verify_pole_table(CTX34)  # every row is expanded
     assert sorted(calls) == sorted(
         (variant, alpha) for variant, _ in VARIANTS for alpha in admissible_coefficient_exponents(variant, CTX34, 1)
     )
@@ -266,8 +308,9 @@ def test_pole_table_solves_each_cramer_vector_once(monkeypatch):
 def test_pole_table_every_named_object_is_uniform():
     # every determinant coefficient shares a single weight over its monomials
     for ctx in (CTX23, CTX34):
-        rep = verify_pole_table(ctx, expand_limit=ctx.n)
+        rep = verify_pole_table(ctx)
         assert all(r.uniform for r in rep.rows)
+        assert all(po.uniform for po in _expanded_cramer_orders(ctx).values())
 
 
 def test_pole_table_formulas_per_row():
@@ -280,21 +323,23 @@ def test_pole_table_formulas_per_row():
     assert rows["cramer[v2,a=(0, 0, 2),k=0]"].computed == (4 + 6) // 2 + 2
     assert rows["cramer[v2,a=(0, 0, 2),k=1]"].computed == (4 + 6 - 2) // 2 + 2
 
-    # every Cramer row at (3,4), all expanded: B_k of variant 1 drops the
-    # column z_i^k, of variant 2 the column z_k (B_0 drops none)
+    # every Cramer row at (3,4), structural and expanded here: B_k of variant
+    # 1 drops the column z_i^k, of variant 2 the column z_k (B_0 drops none)
     n = CTX34.n
     claims = {
         "v1": lambda la, k: la + n * n + n - k,
         "v2": lambda la, k: la + n * (n + 1) // 2 + n - (k >= 1),
     }
     rows = {r.name: r for r in verify_pole_table(CTX34).rows}
+    expanded = _expanded_cramer_orders(CTX34)
     checked = 0
     for variant, label in VARIANTS:
         for alpha in admissible_coefficient_exponents(variant, CTX34, 1):
             for k in range(n + 1):
-                row = rows[f"cramer[{label},a={alpha},k={k}]"]
-                assert row.method == "expanded"
-                assert row.claimed == row.computed == claims[label](sum(alpha), k), row
+                name = f"cramer[{label},a={alpha},k={k}]"
+                row = rows[name]
+                assert row.method == "structural"
+                assert row.claimed == row.computed == expanded[name].order == claims[label](sum(alpha), k), row
                 checked += 1
     # C(7, 3) = 35 exponents with |alpha| <= 3, less the n + 1 solved slots
     assert checked == sum(name.startswith("cramer[") for name in rows) == 2 * (35 - n - 1) * (n + 1)
@@ -559,7 +604,7 @@ def test_spanning_certificate_concludes_without_exact_ranks(monkeypatch):
 
     calls = _count_calls(monkeypatch, analysis, "rank_rational")
     results = spanning_check(CTX23, chart=1, trials=3, seed=42)
-    assert calls == []
+    assert calls == [3] * 3  # the Jacobian's n+1 rows at each point; never the frame's
     assert all(r.ok and r.jacobian_rank == 3 and r.rank == 25 for r in results)
 
 
@@ -567,19 +612,10 @@ def test_spanning_falls_back_to_exact_rank_when_the_certificate_fails(monkeypatc
     import jetframes.analysis as analysis
 
     ctx = CTX23
-    expected = ctx.ambient_dimension - (ctx.n + 1)
+    jacobian = ctx.n + 1
     reference = [r.to_dict() for r in spanning_check(ctx, chart=1, trials=3, seed=42)]
     calls = _count_calls(monkeypatch, analysis, "rank_rational")
-    jacobian = ctx.n + 1
-    fakes = (
-        # one short on the frame only: the Jacobian stays certified
-        (lambda m: jacobian if len(m) == jacobian else expected - 1, [28] * 3),
-        # one short everywhere
-        (lambda m: expected - 1, [jacobian, 28] * 3),
-        # short on the Jacobian only: unless rank J = n+1 is proven, expected
-        # bounds nothing, so the frame's rank is taken exactly as well
-        (lambda m: jacobian - 1 if len(m) == jacobian else expected, [jacobian, 28] * 3),
-    )
+
     def unreadable(fields, ctx, chart, variant):
         raise analysis.SpanPatternError("declined")
 
@@ -591,12 +627,25 @@ def test_spanning_falls_back_to_exact_rank_when_the_certificate_fails(monkeypatc
     for target, name, decline in declines:
         with monkeypatch.context() as patch:
             patch.setattr(target, name, decline)
-            for fake, exact_calls in fakes:
-                calls.clear()
-                patch.setattr(analysis, "rank_modular", fake)
-                results = spanning_check(ctx, chart=1, trials=3, seed=42)
-                assert calls == exact_calls
-                assert [r.to_dict() for r in results] == reference
+            calls.clear()
+            results = spanning_check(ctx, chart=1, trials=3, seed=42)
+            assert calls == [jacobian, 28] * 3
+            assert [r.to_dict() for r in results] == reference
+    # short on the Jacobian only: unless rank J = n+1 is proven, expected
+    # bounds nothing, so the frame's rank is taken exactly although the
+    # pivots hold
+    real = analysis.rank_rational
+    short = []
+
+    def jacobian_short(matrix):
+        short.append(len(matrix))
+        return jacobian - 1 if len(matrix) == jacobian else real(matrix)
+
+    monkeypatch.setattr(analysis, "rank_rational", jacobian_short)
+    results = spanning_check(ctx, chart=1, trials=3, seed=42)
+    assert short == [jacobian, 28] * 3
+    assert [r.jacobian_rank for r in results] == [jacobian - 1] * 3
+    assert [r.rank for r in results] == [r["rank"] for r in reference]
 
 
 def test_spanning_reports_exact_rank_with_a_non_tangent_field(monkeypatch):
@@ -609,14 +658,12 @@ def test_spanning_reports_exact_rank_with_a_non_tangent_field(monkeypatch):
         field=VectorField({ctx.coeff_var((0, 0, 0)): Polynomial.const(1)}),
     )
     frame = enumerate_frame(ctx, chart=1)
-    expected = ctx.ambient_dimension - (ctx.n + 1)
-    # a modular rank that claims both bounds: only tangency stops the shortcut
-    monkeypatch.setattr(
-        analysis, "rank_modular", lambda m: ctx.n + 1 if len(m) == ctx.n + 1 else expected
-    )
+    # a certificate that claims the lower bound: only tangency stops the shortcut
+    monkeypatch.setattr(analysis.SpanPattern, "certifies", lambda self, rows: True)
+    monkeypatch.setattr(analysis, "span_pattern", lambda *args: analysis.SpanPattern((), (), ()))
     calls = _count_calls(monkeypatch, analysis, "rank_rational")
     (result,) = spanning_check(ctx, chart=1, trials=1, seed=0, fields=frame + [bogus])
     assert not result.tangent_ok and result.first_offender == "bogus"
-    assert calls == [29]  # the Jacobian is certified; the field rank is not
+    assert calls == [3, 29]  # the Jacobian, then the fields: tangency failed
     # d/da_0 leaves ker J, so the exact rank exceeds the tangent dimension
     assert result.jacobian_rank == 3 and result.rank == result.expected_rank + 1 == 26

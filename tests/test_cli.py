@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -231,3 +232,21 @@ def test_default_run_builds_each_frame_part_once(monkeypatch):
         for variant, _ in VARIANTS
         for alpha in admissible_coefficient_exponents(variant, ctx, 1)
     }
+
+
+# SHA-256 of the compact, key-sorted JSON of run(RunConfig(n, d)) with every
+# suite's elapsed_ms dropped: a change to any default report shows here
+DEFAULT_REPORT_DIGESTS = {
+    (1, 2): "2dd93536459f5b0df008cecdbdf45cb7c961787f49f92afe3e3ff92d1eb40c17",
+    (2, 3): "cd224aed7eb6ec2df0ab9f342a80e5fa34ae3732772209828ad06e762a3625f5",
+    (3, 4): "129c13d660041d9f4b1c058fcfb55748821fcf6ea6a15dd68cf23cd69cd86468",
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(DEFAULT_REPORT_DIGESTS))
+def test_default_reports_are_pinned(n, d):
+    report = run(RunConfig(n, d))
+    for suite in report["suites"]:
+        del suite["elapsed_ms"]
+    blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == DEFAULT_REPORT_DIGESTS[(n, d)]

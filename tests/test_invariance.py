@@ -103,13 +103,17 @@ def test_suite_proves_the_frame_without_pushing_forward(monkeypatch, n, d):
     assert items == reference_items(config, frame)
 
 
-def test_suite_falls_back_to_the_draws_for_an_unproved_field(monkeypatch):
+def test_suite_names_an_unproved_field_without_pushing_forward(monkeypatch):
+    # a nonzero bracket already proves that some element of G_n moves the
+    # field: one failing item names it, and no draw is pushed forward
     config = RunConfig(n=2, d=3, trials=6, seed=1, suites=("invariance",))
     frame = [*enumerate_frame(config.context(), chart=config.chart), BARE]
     monkeypatch.setattr(cli, "enumerate_frame", lambda ctx, chart: list(frame))
     calls = _count_pushforwards(monkeypatch)
-    items, _ = suite_invariance(config)
-    assert calls
-    expected = reference_items(config, frame)
-    assert items == expected
-    assert not all(item["ok"] for item in items)
+    items, extra = suite_invariance(config)
+    assert calls == [] and extra == {}
+    assert items == [
+        {"name": "frame field bare d/dz1' invariant under reparametrization", "claimed": "True", "computed": "False", "ok": False}
+    ]
+    # the draws, the reference, agree that the frame is not invariant
+    assert not all(item["ok"] for item in reference_items(config, frame))

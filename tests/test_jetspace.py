@@ -21,7 +21,13 @@ from jetframes.jetspace import (
     JetPoint,
 )
 
-from reference_helpers import iterated_total_derivative, jacobian_rank_at, jet_matrix_rank, wronskians_all_zero
+from reference_helpers import (
+    iterated_total_derivative,
+    jacobian_rank_at,
+    jacobian_values_at,
+    jet_matrix_rank,
+    wronskians_all_zero,
+)
 
 CTX23 = JetContext(2, 3)
 CTX34 = JetContext(3, 4)
@@ -388,7 +394,7 @@ def test_series_jacobian_equals_symbolic_on_sampled_points(ctx):
     for chart in range(1, ctx.nvars + 1):
         for seed in (0, 1, 2):
             point = sample_vertical_jet(ctx, chart, rng=seed)
-            assert jacobian_matrix_at(point, ctx) == reference(point), (chart, seed)
+            assert jacobian_values_at(point, ctx) == reference(point), (chart, seed)
 
 
 @pytest.mark.parametrize("ctx", [CTX23, CTX34], ids=["n2d3", "n3d4"])
@@ -399,7 +405,7 @@ def test_series_jacobian_equals_symbolic_off_the_variety(ctx):
     for _ in range(3):
         point = _random_point(ctx, rng)
         assert any(eq.evaluate(point.assignment) for eq in defining_equations_iterated(ctx))
-        assert jacobian_matrix_at(point, ctx) == reference(point)
+        assert jacobian_values_at(point, ctx) == reference(point)
 
 
 def test_series_jacobian_equals_symbolic_where_the_jet_matrix_has_rank_one():
@@ -415,7 +421,7 @@ def test_series_jacobian_equals_symbolic_where_the_jet_matrix_has_rank_one():
     }
     point = _random_point(ctx, rng, jets)
     assert jet_matrix_rank(point, ctx) == 1 and not first_jets_all_zero(point, ctx)
-    assert jacobian_matrix_at(point, ctx) == _symbolic_jacobian(ctx)(point)
+    assert jacobian_values_at(point, ctx) == _symbolic_jacobian(ctx)(point)
 
 
 def test_jacobian_reads_the_series_the_sampler_built(monkeypatch):
@@ -428,8 +434,9 @@ def test_jacobian_reads_the_series_the_sampler_built(monkeypatch):
 
     monkeypatch.setattr(jetspace, "monomial_series", counted)
     point = sample_vertical_jet(CTX23, chart=1, rng=3)
-    jacobian_matrix_at(point, CTX23)
+    rows, scale = jacobian_matrix_at(point, CTX23)
     assert calls == [CTX23]
+    assert scale > 0 and all(type(x) is int for row in rows for x in row)
     s, cached = point.series(CTX23)
     reference = _rational_series(point, CTX23)
     assert cached.keys() == reference.keys()
@@ -469,12 +476,13 @@ def test_sampled_points_are_pinned():
 
 
 def test_failed_certification_names_the_point(monkeypatch):
-    solve = jetspace.solve_linear_exact
+    solve = jetspace.integer_bareiss
 
     def perturbed(matrix, rhs):
-        return [x + 1 for x in solve(matrix, rhs)]
+        rank, det, x = solve(matrix, rhs)
+        return rank, det, [y + 1 for y in x]
 
-    monkeypatch.setattr(jetspace, "solve_linear_exact", perturbed)
+    monkeypatch.setattr(jetspace, "integer_bareiss", perturbed)
     with pytest.raises(RuntimeError, match="fails certification") as failure:
         sample_vertical_jet(CTX23, chart=2, rng=0)
     assert '"_chart": "2"' in str(failure.value)

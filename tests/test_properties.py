@@ -6,19 +6,19 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from jetframes.algebra import (  # noqa: E402
     IntegerPoint,
     IntegerPolynomial,
+    LinearSolveError,
     Polynomial,
     VectorField,
     _integer_rows,
     coeff,
     common_integer_forms,
     coord,
-    det_cofactor,
     enumerate_exponents,
     integer_bareiss,
     iter_terms,
@@ -30,6 +30,8 @@ from jetframes.algebra import (  # noqa: E402
     unit_index,
 )
 from jetframes.jetspace import JetContext, JetPoint, monomial_series  # noqa: E402
+
+from reference_helpers import det_cofactor  # noqa: E402
 
 # one variable of every kind a table or an equation can hold
 VARIABLES = (coord(1), coord(2), jet(1, 1), jet(2, 2), coeff((0, 1)), coeff((1, 0)), mat(1, 2))
@@ -207,6 +209,38 @@ def test_solution_satisfies_the_system(system):
     a, b = system
     x = solve_linear_exact(a, b)
     assert [sum((c * xi for c, xi in zip(row, x)), Polynomial()) for row in a] == b
+
+
+@st.composite
+def integer_systems(draw):
+    """An integer matrix of any shape, with small entries so that singular
+    and inconsistent systems are common, and one int right side per row."""
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = draw(st.integers(min_value=1, max_value=4))
+    entries = st.integers(min_value=-3, max_value=3)
+    a = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    return a, draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+@example(([[1, 1], [2, 2]], [1, 3])).via("inconsistent")
+@example(([[1, 1], [2, 2]], [1, 2])).via("underdetermined")
+@example(([[2, 1], [1, 3], [1, -2]], [3, 4, -1])).via("overdetermined, consistent")
+def test_scalar_right_sides_solve_as_polynomial_ones(system):
+    # integer_bareiss keeps int right sides as scalars; solve_linear_exact
+    # wraps them in polynomials: both give one solution, or the same error
+    a, b = system
+    try:
+        expected = [x.constant_value() for x in solve_linear_exact(a, b)]
+    except LinearSolveError as error:
+        with pytest.raises(type(error)):
+            integer_bareiss(a, b)
+        return
+    x = integer_bareiss(a, b)[2]
+    assert all(isinstance(xi, (int, Fraction)) for xi in x)
+    assert x == expected
+    assert [sum(c * xi for c, xi in zip(row, x)) for row in a] == b
 
 
 def _truncated_product(a, b):

@@ -24,13 +24,12 @@ from jetframes.frames import FrameField, enumerate_frame
 from jetframes.jetspace import (
     JetContext,
     first_jets_all_zero,
-    jacobian_matrix_at,
     lift_vertical_jet,
     random_rational,
 )
 from jetframes.wronskian import VARIANT_POWER, VARIANTS, solved_exponents, system_determinant
 
-from reference_helpers import jacobian_rank_at, jet_matrix_rank
+from reference_helpers import jacobian_rank_at, jacobian_values_at, jet_matrix_rank
 
 CONTEXTS = [(1, 2), (2, 3), (3, 4)]
 
@@ -123,8 +122,8 @@ def test_spanning_takes_the_dense_route_when_the_pattern_breaks(monkeypatch):
         span_pattern(doubled, ctx, 1, VARIANT_POWER)
     reference = [r.to_dict() for r in spanning_check(ctx, chart=1, trials=2, seed=5)]
     sizes = []
-    real = analysis.rank_modular
-    monkeypatch.setattr(analysis, "rank_modular", lambda m: sizes.append(len(m)) or real(m))
+    real = analysis.rank_rational
+    monkeypatch.setattr(analysis, "rank_rational", lambda m: sizes.append(len(m)) or real(m))
     results = [r.to_dict() for r in spanning_check(ctx, chart=1, trials=2, seed=5, fields=doubled)]
     assert results == reference
     assert sizes == [ctx.n + 1, len(doubled)] * 2
@@ -162,11 +161,12 @@ def test_certificate_agrees_with_the_exact_rank_at_sampled_points(n, d):
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 4)])
 def test_default_span_runs_take_no_modular_rank_of_the_frame(monkeypatch, n, d):
     sizes = []
-    real = analysis.rank_modular
-    monkeypatch.setattr(analysis, "rank_modular", lambda m: sizes.append(len(m)) or real(m))
+    real = analysis.rank_rational
+    monkeypatch.setattr(analysis, "rank_rational", lambda m: sizes.append(len(m)) or real(m))
     report = run(RunConfig(n=n, d=d, suites=("span",)))
     assert report["ok"]
-    assert sizes == [n + 1] * (2 * RunConfig().trials)  # the Jacobian at each point, per variant
+    # the Jacobian at each point, per variant: no rank of the frame is taken
+    assert sizes == [n + 1] * (2 * RunConfig().trials)
 
 
 def _low_rank_point(ctx, r, rng):
@@ -198,7 +198,7 @@ def test_variant1_frame_falls_short_on_sigma_minus_sigma_tilde(n, d, rank_one):
         assert not first_jets_all_zero(point, ctx)
         assert jacobian_rank_at(point, ctx) == ctx.n + 1
         rows = _integer_rows(fields, point, ctx)
-        jacobian = jacobian_matrix_at(point, ctx)
+        jacobian = jacobian_values_at(point, ctx)
         assert all(sum(a * x for a, x in zip(eq, row)) == 0 for row in rows for eq in jacobian)
         # every pivot holds (W is a power of z_1'), but the jet block is n+1
         # copies of a rank-r jet matrix, so the certificate declines there
@@ -226,7 +226,7 @@ def test_jacobian_minor_on_the_solved_slots_is_w(n, d):
         w = system_determinant(solved, ctx)
         for _ in range(2):
             point = analysis.sample_for_variant(ctx, 1, variant, rng)
-            minor = [[row[j] for j in columns] for row in jacobian_matrix_at(point, ctx)]
+            minor = [[row[j] for j in columns] for row in jacobian_values_at(point, ctx)]
             assert determinant(minor).constant_value() == w.evaluate(point.assignment) != 0
 
 
