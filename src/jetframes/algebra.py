@@ -73,6 +73,8 @@ def var_name(v: Variable) -> str:
 
 
 def _norm_scalar(c):
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
@@ -227,7 +229,8 @@ class Polynomial:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
+        if type(other) is not Polynomial:
+            other = _as_poly(other)
         if not self.terms:
             return other
         if not other.terms:
@@ -257,15 +260,16 @@ class Polynomial:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial()
-            other = _norm_scalar(other)
-            p = Polynomial()
-            p.terms = {m: _norm_scalar(c * other) for m, c in self.terms.items()}
-            return p
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                if other == 0:
+                    return Polynomial()
+                other = _norm_scalar(other)
+                p = Polynomial()
+                p.terms = {m: _norm_scalar(c * other) for m, c in self.terms.items()}
+                return p
+            if not isinstance(other, Polynomial):
+                return NotImplemented
         if not self.terms or not other.terms:
             return Polynomial()
         out: dict = {}

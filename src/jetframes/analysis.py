@@ -39,10 +39,11 @@ from .algebra import (
     sum_terms,
     var_name,
 )
-from .frames import FrameField, admissible_coefficient_exponents, enumerate_frame
+from .frames import FrameField, admissible_coefficient_exponents, enumerate_frame, tangency_proof
 from .jetspace import (
     JetContext,
     JetPoint,
+    chain_matrix,
     first_jets_all_zero,
     jacobian_matrix_at,
     monomial_series,
@@ -471,10 +472,13 @@ def field_vector(field: FrameField, point: JetPoint, ctx: JetContext) -> list:
     ]
 
 
-def _field_forms(field: FrameField, ctx: JetContext) -> list:
-    """(ambient index, integer form) for each direction the field moves, the
-    forms sharing one scale and degree."""
-    slots = [(j, field.field.coeffs[v]) for j, v in enumerate(ctx.ambient_variables) if v in field.field.coeffs]
+def _field_forms(field: FrameField, ctx: JetContext, columns: Sequence[int] | None = None) -> list:
+    """(ambient index, integer form) for each direction the field moves, or
+    for those among the given ambient indices, the forms sharing one scale
+    and degree."""
+    ambient = ctx.ambient_variables
+    indices = range(len(ambient)) if columns is None else columns
+    slots = [(j, field.field.coeffs[ambient[j]]) for j in indices if ambient[j] in field.field.coeffs]
     forms = common_integer_forms([p for _, p in slots])
     return [(j, form) for (j, _), form in zip(slots, forms)]
 
@@ -497,12 +501,21 @@ class SpanPattern:
     jet_rows: tuple
     jet_columns: tuple  # ambient indices
 
-    def certifies(self, rows: Sequence[Sequence[int]]) -> bool:
+    def entries(self) -> dict:
+        """{row: the ambient columns certifies reads in it}."""
+        read = {r: [c] for r, c in self.pivots}
+        for r in self.jet_rows:
+            read.setdefault(r, []).extend(self.jet_columns)
+        return read
+
+    def certifies(self, rows) -> bool:
         """True when every pivot entry of the integer rows is nonzero and the
         jet block has full column rank on the jet columns, by exact
         elimination.  The rows then have rank at least the number of columns
         kept: ambient - (n + 1), the excluded slots being 0 and the n solved
-        slots."""
+        slots.  Only the entries() are read, so rows[r][c] may come from
+        mappings that hold just those; a row scaled by a positive integer
+        gives the same verdict."""
         if not all(rows[r][c] for r, c in self.pivots):
             return False
         block = [[rows[r][c] for c in self.jet_columns] for r in self.jet_rows]
@@ -570,12 +583,18 @@ class SamplingError(RuntimeError):
     """No draw left the degenerate locus within SAMPLE_ATTEMPTS tries."""
 
 
+@lru_cache(maxsize=None)
+def _determinant_form(ctx: JetContext, chart: int, variant: int) -> IntegerPolynomial:
+    """The integer form of the variant's system determinant W."""
+    return IntegerPolynomial(system_determinant(solved_exponents(variant, ctx, chart), ctx))
+
+
 def sample_for_variant(ctx: JetContext, chart: int, variant: int, rng: random.Random) -> JetPoint:
     """Sample a certified point in the open locus the variant needs: first
     jets not all zero (automatic: the chart jet is nonzero), and a nonvanishing
     system determinant of the variant's solved slots (automatic for the power
     chain on its own chart: c (z_chart')^m)."""
-    w = IntegerPolynomial(system_determinant(solved_exponents(variant, ctx, chart), ctx))
+    w = _determinant_form(ctx, chart, variant)
     for _ in range(SAMPLE_ATTEMPTS):
         point = sample_vertical_jet(ctx, chart, rng)
         if first_jets_all_zero(point, ctx) or w.numerator(point.integer_point) == 0:
@@ -585,6 +604,24 @@ def sample_for_variant(ctx: JetContext, chart: int, variant: int, rng: random.Ra
         f"no admissible point for variant {variant} on chart {chart} "
         f"in {SAMPLE_ATTEMPTS} draws at (n, d) = ({ctx.n}, {ctx.d})"
     )
+
+
+def _full_rows(fields, compiled, ipoint, jac, ctx) -> tuple[list, str | None]:
+    """Each field's full integer row at the point, from its compiled forms,
+    and, when the Jacobian rows jac are given, the label of the first field
+    some row of jac does not annihilate (None when every field does)."""
+    vectors = []
+    offender = None
+    for f, forms in zip(fields, compiled):
+        entries = [(j, form.numerator(ipoint)) for j, form in forms]
+        vec = [0] * ctx.ambient_dimension
+        for j, x in entries:
+            vec[j] = x
+        vectors.append(vec)
+        if jac is not None and offender is None:
+            if any(sum(row[j] * x for j, x in entries) for row in jac):
+                offender = f.label
+    return vectors, offender
 
 
 def spanning_check(
@@ -605,51 +642,73 @@ def spanning_check(
     gives the Jacobian times one integer.  Scaling a row by a nonzero integer
     changes neither tangency nor any rank.
 
-    The Jacobian's n+1 rows are ranked exactly.  Tangent fields lie in ker J,
-    of dimension expected once rank J = n+1, so the field rank is at most
-    expected.  The frame's span_pattern, read once per call, proves it at
-    least expected wherever its pivots hold.  Where they fail, or the fields
-    break the pattern, rank_rational decides."""
+    Tangent fields lie in ker J, of dimension expected once rank J = n+1, so
+    the field rank is at most expected.  The frame's span_pattern, read once
+    per call, proves it at least expected wherever its pivots hold.  Where
+    they fail, or the fields break the pattern, rank_rational decides.
+
+    Fields passed explicitly take the full pointwise route, the reference:
+    the integer product of every row with J, rank_rational on J's n+1 rows,
+    and the certificate on the full rows.  The cached frame (fields=None)
+    takes three certificates instead, each with that route as its fallback:
+    - tangency_proof proves every field tangent, once per process;
+    - J's minor on the columns a_0, a_(e_c), ..., a_(n e_c) (c the chart) is
+      det(chain_matrix) up to a nonzero integer, the a_0 column being
+      (1, 0, ..., 0), and proves rank J = n+1 where it is nonzero;
+    - the rows are evaluated only at the pattern's entries(), and in full
+      only where the certificate declines."""
     rng = random.Random(seed)
-    if fields is None:
+    cached = fields is None
+    if cached:
         fields = enumerate_frame(ctx, chart, variant)
     expected = ctx.ambient_dimension - (ctx.n + 1)
     try:
         pattern = span_pattern(fields, ctx, chart, variant)
     except SpanPatternError:
         pattern = None
-    compiled = [_field_forms(f, ctx) for f in fields]
+    proved = cached and tangency_proof(ctx, chart).holds
+    # with tangency proved, the certificate's entries are all a point needs
+    certificate = None
+    if proved and pattern is not None:
+        certificate = [
+            (r, columns, _field_forms(fields[r], ctx, columns)) for r, columns in pattern.entries().items()
+        ]
+    compiled = None  # every field's full forms, built on first need
     results = []
     for t in range(trials):
         point = sample_for_variant(ctx, chart, variant, rng)
         ipoint = point.integer_point
-        jac = jacobian_matrix_at(point, ctx)[0]
-        jrank = rank_rational(jac)
-        vectors = []
-        tangent_ok = True
-        offender = None
-        for f, forms in zip(fields, compiled):
-            entries = [(j, form.numerator(ipoint)) for j, form in forms]
-            vec = [0] * ctx.ambient_dimension
-            for j, x in entries:
-                vec[j] = x
-            vectors.append(vec)
-            for row in jac:
-                if sum(row[j] * x for j, x in entries) != 0:
-                    tangent_ok = False
-                    offender = offender or f.label
-                    break
-        if tangent_ok and jrank == ctx.n + 1 and pattern is not None and pattern.certifies(vectors):
-            rank = expected
+        jac = None
+        if cached and integer_bareiss(chain_matrix(point.series(ctx)[1], ctx, chart))[1]:
+            jrank = ctx.n + 1
         else:
-            rank = rank_rational(vectors)
+            jac = jacobian_matrix_at(point, ctx)[0]
+            jrank = rank_rational(jac)
+        offender = None
+        certified = None  # the certificate's verdict, once it is asked
+        if certificate is not None and jrank == ctx.n + 1:
+            rows = {}
+            for r, columns, forms in certificate:
+                rows[r] = dict.fromkeys(columns, 0)
+                rows[r].update((j, form.numerator(ipoint)) for j, form in forms)
+            certified = pattern.certifies(rows)
+        if not certified:
+            if not proved and jac is None:
+                jac = jacobian_matrix_at(point, ctx)[0]
+            if compiled is None:
+                compiled = [_field_forms(f, ctx) for f in fields]
+            vectors, offender = _full_rows(fields, compiled, ipoint, None if proved else jac, ctx)
+            if certified is None:
+                certified = (
+                    offender is None and jrank == ctx.n + 1 and pattern is not None and pattern.certifies(vectors)
+                )
         results.append(
             SpanningTrial(
                 index=t,
-                tangent_ok=tangent_ok,
+                tangent_ok=offender is None,
                 first_offender=offender,
                 jacobian_rank=jrank,
-                rank=rank,
+                rank=expected if certified else rank_rational(vectors),
                 expected_rank=expected,
             )
         )

@@ -21,7 +21,7 @@ from .frames import (
     admissible_coefficient_exponents,
     enumerate_frame,
     solve_jet_field_coefficients,
-    variant_free_frame,
+    tangency_proof,
 )
 from .jetspace import (
     JetContext,
@@ -130,51 +130,18 @@ def suite_wronskian(config: RunConfig) -> tuple[list, dict]:
     return items, {}
 
 
-def frame_families(ctx: JetContext, chart: int) -> tuple[list, list, list]:
-    """The fields the frames suite certifies, read by kind off the frames that
-    span and invariance use: the coefficient fields of every variant (in
-    VARIANTS order), then the shifted and the coordinate fields."""
-    frames = [enumerate_frame(ctx, chart, variant) for variant, _ in VARIANTS]
-    coefficient = [f for frame in frames for f in frame if f.kind == "coefficient"]
-    shifted = [f for f in frames[0] if f.kind == "shifted_coefficient"]
-    coordinate = [f for f in frames[0] if f.kind == "coordinate"]
-    return coefficient, shifted, coordinate
-
-
 def suite_frames(config: RunConfig) -> tuple[list, dict]:
     ctx = config.context()
-    eqs = defining_equations_iterated(ctx)
-    items = []
-
-    def all_annihilated(fields):
-        for f in fields:
-            for eq in eqs:
-                if not f.apply(eq).is_zero():
-                    return f.label
-        return None
-
-    coeff_fields, shifted_fields, coord_fields = frame_families(ctx, config.chart)
-    items.append(
-        _bool_item("coefficient fields annihilate every equation", all_annihilated(coeff_fields) is None)
-    )
-    items.append(
-        _bool_item("shifted fields annihilate every equation", all_annihilated(shifted_fields) is None)
-    )
-    items.append(
-        _bool_item("coordinate fields annihilate every equation", all_annihilated(coord_fields) is None)
-    )
-
+    proof = tangency_proof(ctx, config.chart)
+    items = [
+        _bool_item("coefficient fields annihilate every equation", proof.coefficient is None),
+        _bool_item("shifted fields annihilate every equation", proof.shifted is None),
+        _bool_item("coordinate fields annihilate every equation", proof.coordinate is None),
+    ]
     table = solve_jet_field_coefficients(ctx)
     items.append(_bool_item("jet-field blocks all invertible", all(d != 0 for d in table.block_dets.values())))
-    jet_field = variant_free_frame(ctx).symbolic
-    order0 = jet_field.apply(eqs[0])
-    try:
-        quotient = order0.exact_div(eqs[0])
-        items.append(_bool_item("jet field order-0 tangency divisible by E0", quotient == table.top_factor))
-    except ValueError:
-        items.append(_bool_item("jet field order-0 tangency divisible by E0", False))
-    higher = all(jet_field.apply(eqs[k]).is_zero() for k in range(1, ctx.n + 1))
-    items.append(_bool_item("jet field annihilates higher equations identically", higher))
+    items.append(_bool_item("jet field order-0 tangency divisible by E0", proof.jet_order0))
+    items.append(_bool_item("jet field annihilates higher equations identically", proof.jet_higher))
     return items, {}
 
 

@@ -35,8 +35,8 @@ from .algebra import (
     unit_index,
     var_name,
 )
-from .jetspace import JetContext
-from .wronskian import VARIANT_POWER, cramer_coefficients, excluded_exponents
+from .jetspace import JetContext, defining_equations_iterated
+from .wronskian import VARIANT_POWER, VARIANTS, cramer_coefficients, excluded_exponents
 
 
 @dataclass(frozen=True)
@@ -379,3 +379,67 @@ def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWE
     once per (ctx, chart, variant); each call returns a new list of the
     cached fields, which callers must not mutate."""
     return list(_frame(ctx, chart, variant))
+
+
+
+def frame_families(ctx: JetContext, chart: int) -> tuple[list, list, list]:
+    """The fields tangency_proof applies, read by kind off the cached frames:
+    the coefficient fields of every variant (in VARIANTS order), then the
+    shifted and the coordinate fields."""
+    frames = [_frame(ctx, chart, variant) for variant, _ in VARIANTS]
+    coefficient = [f for frame in frames for f in frame if f.kind == "coefficient"]
+    shifted = [f for f in frames[0] if f.kind == "shifted_coefficient"]
+    coordinate = [f for f in frames[0] if f.kind == "coordinate"]
+    return coefficient, shifted, coordinate
+
+
+class TangencyProof(NamedTuple):
+    """What tangency_proof found, as labels and booleans only."""
+
+    coefficient: str | None  # the first coefficient field moving some E_kappa
+    shifted: str | None  # the first shifted field moving some E_kappa
+    coordinate: str | None  # the first coordinate field moving some E_kappa
+    jet_order0: bool  # X_M(E_0) = top_factor * E_0, X_M the symbolic jet-linear field
+    jet_higher: bool  # X_M(E_kappa) = 0 for kappa = 1..n
+
+    @property
+    def holds(self) -> bool:
+        """Every field of every variant's frame on this chart is tangent to
+        the vertical jet space at each of its points."""
+        return not (self.coefficient or self.shifted or self.coordinate) and self.jet_order0 and self.jet_higher
+
+
+def _first_moving(fields, eqs) -> str | None:
+    """The label of the first field that does not annihilate every equation."""
+    for f in fields:
+        if not all(f.apply(eq).is_zero() for eq in eqs):
+            return f.label
+    return None
+
+
+@lru_cache(maxsize=None)
+def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
+    """Symbolic tangency of the cached frames of one chart, proved once per
+    process.  The coefficient, shifted and coordinate fields must annihilate
+    E_0..E_n identically.  The jet-linear fields are not applied: each E_kl
+    field is the derivative of X_M in m(k, l) (variant_free_frame), and no
+    E_kappa contains a matrix entry, so E_kl(E_kappa) is the derivative of
+    X_M(E_kappa) in m(k, l).  That is a multiple of E_0 for kappa = 0 once
+    X_M(E_0) is, and 0 for kappa >= 1 once X_M(E_kappa) is 0.  A field that
+    sends E_0 to a multiple of it and E_1..E_n to 0 is tangent at every point
+    of the jet space."""
+    eqs = defining_equations_iterated(ctx)
+    coefficient, shifted, coordinate = frame_families(ctx, chart)
+    jet_field = variant_free_frame(ctx).symbolic
+    try:
+        quotient = jet_field.apply(eqs[0]).exact_div(eqs[0])
+        jet_order0 = quotient == _solve_symbolic_table(ctx).top_factor
+    except ValueError:
+        jet_order0 = False
+    return TangencyProof(
+        coefficient=_first_moving(coefficient, eqs),
+        shifted=_first_moving(shifted, eqs),
+        coordinate=_first_moving(coordinate, eqs),
+        jet_order0=jet_order0,
+        jet_higher=all(jet_field.apply(eq).is_zero() for eq in eqs[1:]),
+    )

@@ -390,8 +390,7 @@ def lift_vertical_jet(base: dict, ctx: JetContext, chart: int, rng: random.Rando
         c = a.numerator * (q // a.denominator) * powers[ctx.d - mi_total(alpha)]
         known = [x + c * y for x, y in zip(known, series[alpha])]
     # E_1..E_n times q * s^d / kappa!, linear in y_k = a_(k e_chart) q s^(d-k)
-    matrix = [[series[alpha][kap] for alpha in solved] for kap in range(1, ctx.n + 1)]
-    solution = integer_bareiss(matrix, [-x for x in known[1:]])[2]
+    solution = integer_bareiss(chain_matrix(series, ctx, chart), [-x for x in known[1:]])[2]
     scale = q * powers[ctx.d]
     for k, (alpha, y) in enumerate(zip(solved, solution), start=1):
         assignment[coeff(alpha)] = Fraction(y * powers[k], scale)
@@ -407,6 +406,16 @@ def lift_vertical_jet(base: dict, ctx: JetContext, chart: int, rng: random.Rando
             f"sampled point fails certification: residues {residues} at {point.to_json()}"
         )
     return point
+
+
+def chain_matrix(series: dict, ctx: JetContext, chart: int) -> list:
+    """[I_(k e_chart)[kappa]], rows kappa = 1..n, columns k = 1..n, from a
+    point's integer series: the system the sampler solves for the power
+    chain.  Row kappa is row kappa of the power Wronskian [D^kappa(z_chart^k)]
+    over kappa!, column k scaled by s^k, so its determinant is
+    (s z_chart')^(n(n+1)/2), nonzero wherever z_chart' != 0."""
+    solved = power_chain(ctx, chart)
+    return [[series[alpha][kap] for alpha in solved] for kap in range(1, ctx.n + 1)]
 
 
 @lru_cache(maxsize=None)

@@ -604,8 +604,13 @@ def test_spanning_certificate_concludes_without_exact_ranks(monkeypatch):
 
     calls = _count_calls(monkeypatch, analysis, "rank_rational")
     results = spanning_check(CTX23, chart=1, trials=3, seed=42)
-    assert calls == [3] * 3  # the Jacobian's n+1 rows at each point; never the frame's
+    # the chain minor gives rank J and the pivots the frame's rank: no exact rank
+    assert calls == []
     assert all(r.ok and r.jacobian_rank == 3 and r.rank == 25 for r in results)
+    # the reference route ranks the Jacobian's n+1 rows at each point; never the frame's
+    reference = spanning_check(CTX23, chart=1, trials=3, seed=42, fields=enumerate_frame(CTX23, 1))
+    assert calls == [3] * 3
+    assert reference == results
 
 
 def test_spanning_falls_back_to_exact_rank_when_the_certificate_fails(monkeypatch):
@@ -629,11 +634,11 @@ def test_spanning_falls_back_to_exact_rank_when_the_certificate_fails(monkeypatc
             patch.setattr(target, name, decline)
             calls.clear()
             results = spanning_check(ctx, chart=1, trials=3, seed=42)
-            assert calls == [jacobian, 28] * 3
+            assert calls == [28] * 3  # the frame's rows; the chain minor still gives rank J
             assert [r.to_dict() for r in results] == reference
     # short on the Jacobian only: unless rank J = n+1 is proven, expected
     # bounds nothing, so the frame's rank is taken exactly although the
-    # pivots hold
+    # pivots hold.  A zero chain minor proves nothing, so J is ranked
     real = analysis.rank_rational
     short = []
 
@@ -641,6 +646,7 @@ def test_spanning_falls_back_to_exact_rank_when_the_certificate_fails(monkeypatc
         short.append(len(matrix))
         return jacobian - 1 if len(matrix) == jacobian else real(matrix)
 
+    monkeypatch.setattr(analysis, "chain_matrix", lambda series, ctx, chart: [[0] * ctx.n] * ctx.n)
     monkeypatch.setattr(analysis, "rank_rational", jacobian_short)
     results = spanning_check(ctx, chart=1, trials=3, seed=42)
     assert short == [jacobian, 28] * 3

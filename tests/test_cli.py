@@ -9,7 +9,6 @@ from jetframes.cli import (
     ReportValidationError,
     RunConfig,
     SUITES,
-    frame_families,
     main,
     render_text,
     run,
@@ -20,6 +19,7 @@ from jetframes.frames import (
     canonical_shifted_fields,
     coefficient_field,
     coordinate_field,
+    frame_families,
     jet_linear_field,
     variant_free_frame,
 )
@@ -250,3 +250,20 @@ def test_default_reports_are_pinned(n, d):
         del suite["elapsed_ms"]
     blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == DEFAULT_REPORT_DIGESTS[(n, d)]
+
+
+def test_default_run_proves_tangency_once_and_shares_it(monkeypatch):
+    import jetframes.analysis as analysis
+    import jetframes.cli as cli
+
+    reads = []
+    for module in (cli, analysis):
+        real = module.tangency_proof
+        monkeypatch.setattr(
+            module, "tangency_proof", lambda ctx, chart, real=real, name=module.__name__: reads.append(name) or real(ctx, chart)
+        )
+    frames.tangency_proof.cache_clear()
+    assert run(RunConfig(n=2, d=3))["ok"]
+    # frames computes the proof, and span reads it once per variant
+    assert frames.tangency_proof.cache_info().misses == 1
+    assert reads == ["jetframes.cli"] + ["jetframes.analysis"] * len(VARIANTS)

@@ -1,6 +1,8 @@
-"""Property tests of the polynomial kernel, with hypothesis (test-only)."""
+"""Property tests of the polynomial kernel and of the per-point integer series,
+with hypothesis (test-only)."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from jetframes.algebra import (  # noqa: E402
     coeff,
     common_integer_forms,
     coord,
+    determinant,
     enumerate_exponents,
     integer_bareiss,
     iter_terms,
@@ -29,9 +32,11 @@ from jetframes.algebra import (  # noqa: E402
     sum_terms,
     unit_index,
 )
-from jetframes.jetspace import JetContext, JetPoint, monomial_series  # noqa: E402
+from jetframes.analysis import sample_for_variant  # noqa: E402
+from jetframes.jetspace import JetContext, JetPoint, chain_matrix, monomial_series, power_chain  # noqa: E402
+from jetframes.wronskian import VARIANT_POWER  # noqa: E402
 
-from reference_helpers import det_cofactor  # noqa: E402
+from reference_helpers import det_cofactor, jacobian_values_at  # noqa: E402
 
 # one variable of every kind a table or an equation can hold
 VARIABLES = (coord(1), coord(2), jet(1, 1), jet(2, 2), coeff((0, 1)), coeff((1, 0)), mat(1, 2))
@@ -319,3 +324,23 @@ def test_scaling_rows_by_nonzero_integers_keeps_the_rank(case):
     rank = rank_rational(rows)
     assert rank == integer_bareiss(_integer_rows(rows)[0])[0]  # Bareiss without the content division
     assert rank_rational([[c * x for x in row] for c, row in zip(scales, rows)]) == rank
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(1, 2), (2, 3), (3, 4)]), st.integers(0, 10**6), st.data())
+def test_chain_minor_is_the_power_wronskian(nd, seed, data):
+    # the Jacobian's minor on a_0 and the chart's power chain is
+    # det [D^kappa(z_c^k)] = 1! 2! ... n! (z_c')^(n(n+1)/2); det(chain_matrix)
+    # is the same minor over 1! 2! ... n!, times s^(n(n+1)/2)
+    ctx = JetContext(*nd)
+    chart = data.draw(st.integers(1, ctx.nvars))
+    point = sample_for_variant(ctx, chart, VARIANT_POWER, random.Random(seed))
+    s, series = point.series(ctx)
+    top = ctx.n * (ctx.n + 1) // 2
+    wronskian = math.prod(map(math.factorial, range(1, ctx.n + 1))) * point.value(jet(chart, 1)) ** top
+    column = {v: j for j, v in enumerate(ctx.ambient_variables)}
+    slots = [column[ctx.coeff_var(beta)] for beta in ((0,) * ctx.nvars, *power_chain(ctx, chart))]
+    minor = [[row[j] for j in slots] for row in jacobian_values_at(point, ctx)]
+    assert determinant(minor).constant_value() == wronskian != 0
+    scaled = integer_bareiss(chain_matrix(series, ctx, chart))[1]
+    assert scaled * math.prod(map(math.factorial, range(1, ctx.n + 1))) == wronskian * s**top

@@ -9,6 +9,7 @@ import re
 import pytest
 
 import jetframes.analysis as analysis
+import jetframes.frames as frames
 from jetframes.algebra import (
     Polynomial,
     VectorField,
@@ -163,10 +164,14 @@ def test_default_span_runs_take_no_modular_rank_of_the_frame(monkeypatch, n, d):
     sizes = []
     real = analysis.rank_rational
     monkeypatch.setattr(analysis, "rank_rational", lambda m: sizes.append(len(m)) or real(m))
+    jacobians = []
+    real_jacobian = analysis.jacobian_matrix_at
+    monkeypatch.setattr(analysis, "jacobian_matrix_at", lambda *args: jacobians.append(1) or real_jacobian(*args))
     report = run(RunConfig(n=n, d=d, suites=("span",)))
     assert report["ok"]
-    # the Jacobian at each point, per variant: no rank of the frame is taken
-    assert sizes == [n + 1] * (2 * RunConfig().trials)
+    # the chain minor ranks the Jacobian and the pivots the frame, and the
+    # proof gives tangency: no exact rank is taken and no Jacobian is built
+    assert sizes == [] and jacobians == []
 
 
 def _low_rank_point(ctx, r, rng):
@@ -239,3 +244,98 @@ def test_spanning_check_takes_the_exact_rank_at_a_rank_one_point(monkeypatch):
     (trial,) = spanning_check(ctx, chart=1, trials=1, variant=VARIANT_POWER)
     assert trial.tangent_ok and trial.jacobian_rank == ctx.n + 1
     assert (trial.rank, trial.expected_rank) == (73, 81)
+
+
+# -- the cached frame's shortcuts against the full pointwise route -------------
+
+
+@pytest.mark.parametrize("n,d", CONTEXTS)
+@pytest.mark.parametrize("chart_at", ["1", "n+1"])
+@pytest.mark.parametrize("variant", [v for v, _ in VARIANTS])
+def test_default_route_matches_the_pointwise_reference(n, d, chart_at, variant):
+    ctx = JetContext(n, d)
+    chart = 1 if chart_at == "1" else ctx.nvars
+    got = spanning_check(ctx, chart=chart, trials=2, seed=7, variant=variant)
+    fields = enumerate_frame(ctx, chart, variant)
+    assert got == spanning_check(ctx, chart=chart, trials=2, seed=7, variant=variant, fields=fields)
+    assert all(r.ok for r in got)
+
+
+@pytest.fixture
+def fresh_frames():
+    """Empty the frame and proof caches before and after a test that builds
+    them from patched parts."""
+    caches = (frames._frame, frames.variant_free_frame, frames.tangency_proof)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_a_coefficient_field_failing_the_proof_takes_the_pointwise_product(monkeypatch, fresh_frames):
+    ctx = JetContext(2, 3)
+    a0 = ctx.coeff_var((0, 0, 0))
+    real = frames.coefficient_field
+
+    def broken(variant, alpha, ctx, chart=None):
+        f = real(variant, alpha, ctx, chart)
+        if variant == VARIANT_POWER and tuple(alpha) == (0, 1, 0):
+            # one more unit of d/da_0 moves E_0 by 1
+            return FrameField(f.kind, f.label, VectorField({**f.field.coeffs, a0: f.field.get(a0) + 1}))
+        return f
+
+    monkeypatch.setattr(frames, "coefficient_field", broken)
+    label = real(VARIANT_POWER, (0, 1, 0), ctx, 1).label
+    proof = frames.tangency_proof(ctx, 1)
+    assert proof.coefficient == label and not proof.holds
+    jacobians = _spy(monkeypatch, analysis, "jacobian_matrix_at")
+    results = spanning_check(ctx, chart=1, trials=2, seed=0)
+    assert len(jacobians) == 2  # the product needs J at each point
+    assert all(not r.tangent_ok and r.first_offender == label for r in results)
+    report = run(RunConfig(n=2, d=3, suites=("frames",)))
+    assert [item["ok"] for item in report["suites"][0]["items"]] == [False] + [True] * 5
+
+
+def test_a_jet_field_moving_e1_fails_the_proof(monkeypatch, fresh_frames):
+    ctx = JetContext(2, 3)
+    real = frames.variant_free_frame(ctx)
+    # E_1 = sum of z_i' dE_0/dz_i moves under d/dz_1'
+    moved = VectorField({**real.symbolic.field.coeffs, jet(1, 1): real.symbolic.field.get(jet(1, 1)) + 1})
+    mutated = frames.VariantFreeFrame(FrameField("jet_linear", "jet[symbolic]", moved), real.fields)
+    monkeypatch.setattr(frames, "variant_free_frame", lambda ctx: mutated)
+    proof = frames.tangency_proof(ctx, 1)
+    assert proof.jet_order0 and not proof.jet_higher and not proof.holds
+    # the frame itself is untouched, so the pointwise product finds it tangent
+    jacobians = _spy(monkeypatch, analysis, "jacobian_matrix_at")
+    assert all(r.ok for r in spanning_check(ctx, chart=1, trials=2, seed=0))
+    assert len(jacobians) == 2
+
+
+def test_a_zero_chain_minor_ranks_the_jacobian(monkeypatch):
+    ctx = JetContext(2, 3)
+    reference = spanning_check(ctx, chart=1, trials=3, seed=4)
+    monkeypatch.setattr(analysis, "chain_matrix", lambda series, ctx, chart: [[0] * ctx.n] * ctx.n)
+    jacobians = _spy(monkeypatch, analysis, "jacobian_matrix_at")
+    ranks = _spy(monkeypatch, analysis, "rank_rational")
+    assert spanning_check(ctx, chart=1, trials=3, seed=4) == reference
+    assert len(jacobians) == 3
+    assert [len(m) for (m,) in ranks] == [ctx.n + 1] * 3
+
+
+def test_a_declining_certificate_builds_the_full_rows(monkeypatch):
+    ctx = JetContext(2, 3)
+    reference = spanning_check(ctx, chart=1, trials=3, seed=4)
+    monkeypatch.setattr(analysis.SpanPattern, "certifies", lambda self, rows: False)
+    rows = _spy(monkeypatch, analysis, "_full_rows")
+    ranks = _spy(monkeypatch, analysis, "rank_rational")
+    assert spanning_check(ctx, chart=1, trials=3, seed=4) == reference
+    assert len(rows) == 3
+    assert [len(m) for (m,) in ranks] == [len(enumerate_frame(ctx, 1, VARIANT_POWER))] * 3
