@@ -685,7 +685,7 @@ def spanning_check(
             jac = jacobian_matrix_at(point, ctx)[0]
             jrank = rank_rational(jac)
         offender = None
-        certified = None  # the certificate's verdict, once it is asked
+        certified = False
         if certificate is not None and jrank == ctx.n + 1:
             rows = {}
             for r, columns, forms in certificate:
@@ -698,7 +698,7 @@ def spanning_check(
             if compiled is None:
                 compiled = [_field_forms(f, ctx) for f in fields]
             vectors, offender = _full_rows(fields, compiled, ipoint, None if proved else jac, ctx)
-            if certified is None:
+            if certificate is None:
                 certified = (
                     offender is None and jrank == ctx.n + 1 and pattern is not None and pattern.certifies(vectors)
                 )

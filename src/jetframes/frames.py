@@ -381,7 +381,6 @@ def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWE
     return list(_frame(ctx, chart, variant))
 
 
-
 def frame_families(ctx: JetContext, chart: int) -> tuple[list, list, list]:
     """The fields tangency_proof applies, read by kind off the cached frames:
     the coefficient fields of every variant (in VARIANTS order), then the
