@@ -35,7 +35,7 @@ from .algebra import (
     unit_index,
     var_name,
 )
-from .jetspace import JetContext, defining_equations_iterated
+from .jetspace import JetContext, defining_equations_iterated, monomial_jet_entry
 from .wronskian import VARIANT_POWER, VARIANTS, cramer_coefficients, excluded_exponents
 
 
@@ -364,38 +364,60 @@ def variant_free_frame(ctx: JetContext) -> VariantFreeFrame:
 
 
 @lru_cache(maxsize=None)
-def _frame(ctx: JetContext, chart: int, variant: int) -> tuple:
-    coefficient = tuple(
+def coefficient_fields(ctx: JetContext, chart: int, variant: int) -> tuple:
+    """One variant's coefficient fields, one per admissible exponent."""
+    return tuple(
         coefficient_field(variant, alpha, ctx, chart)
         for alpha in admissible_coefficient_exponents(variant, ctx, chart)
     )
-    return coefficient + variant_free_frame(ctx).fields
 
 
 def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWER) -> list:
     """The full candidate frame, deterministically ordered: all admissible
     coefficient fields, one canonical shifted field per long exponent, every
-    coordinate field, and one jet-linear field per elementary matrix.  Built
-    once per (ctx, chart, variant); each call returns a new list of the
-    cached fields, which callers must not mutate."""
-    return list(_frame(ctx, chart, variant))
+    coordinate field, and one jet-linear field per elementary matrix.  Each
+    field is built once (coefficient_fields, variant_free_frame); each call
+    returns a new list of the cached fields, which callers must not mutate."""
+    return list(coefficient_fields(ctx, chart, variant) + variant_free_frame(ctx).fields)
 
 
-def frame_families(ctx: JetContext, chart: int) -> tuple[list, list, list]:
-    """The fields tangency_proof applies, read by kind off the cached frames:
-    the coefficient fields of every variant (in VARIANTS order), then the
-    shifted and the coordinate fields."""
-    frames = [_frame(ctx, chart, variant) for variant, _ in VARIANTS]
-    coefficient = [f for frame in frames for f in frame if f.kind == "coefficient"]
-    shifted = [f for f in frames[0] if f.kind == "shifted_coefficient"]
-    coordinate = [f for f in frames[0] if f.kind == "coordinate"]
-    return coefficient, shifted, coordinate
+@lru_cache(maxsize=None)
+def _first_wrong_partial(ctx: JetContext) -> str | None:
+    """The first partial dE_kappa/da_gamma, |gamma| <= n, that is not
+    D^kappa(z^gamma) (D moves no coefficient, so none should be), or None."""
+    slots = {ctx.coeff_var(gamma): gamma for gamma in _jet_exponents(ctx)}
+    for kappa, eq in enumerate(defining_equations_iterated(ctx)):
+        partials = eq.gradient(slots)
+        for v, gamma in slots.items():
+            if partials.get(v, Polynomial.zero()) != monomial_jet_entry(ctx, gamma, kappa):
+                return f"dE{kappa}/d{var_name(v)}"
+    return None
+
+
+@lru_cache(maxsize=None)
+def cramer_tangency(ctx: JetContext, chart: int, variant: int) -> str | None:
+    """The first of one variant's coefficient fields that moves some E_kappa,
+    or the partial _first_wrong_partial names, or None.  A coefficient
+    field X moves only slots |gamma| <= n, in which E_kappa's partial is
+    D^kappa(z^gamma), so X(E_kappa) = sum X[a_gamma] D^kappa(z^gamma): row
+    kappa of its Cramer system, read off the field's own directions."""
+    if (mismatch := _first_wrong_partial(ctx)) is not None:
+        return mismatch
+    slots = {ctx.coeff_var(gamma): gamma for gamma in _jet_exponents(ctx)}
+    for f in coefficient_fields(ctx, chart, variant):
+        if any(v not in slots for v, _ in f.field.items()):
+            return f.label
+        for kappa in range(ctx.n + 1):
+            row = sum((c * monomial_jet_entry(ctx, slots[v], kappa) for v, c in f.field.items()), Polynomial.zero())
+            if not row.is_zero():
+                return f.label
+    return None
 
 
 class TangencyProof(NamedTuple):
     """What tangency_proof found, as labels and booleans only."""
 
-    coefficient: str | None  # the first coefficient field moving some E_kappa
+    coefficient: str | None  # the first failure of cramer_tangency over VARIANTS
     shifted: str | None  # the first shifted field moving some E_kappa
     coordinate: str | None  # the first coordinate field moving some E_kappa
     jet_order0: bool  # X_M(E_0) = top_factor * E_0, X_M the symbolic jet-linear field
@@ -419,7 +441,8 @@ def _first_moving(fields, eqs) -> str | None:
 @lru_cache(maxsize=None)
 def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     """Symbolic tangency of the cached frames of one chart, proved once per
-    process.  The coefficient, shifted and coordinate fields must annihilate
+    process.  The coefficient fields of each variant are decided by
+    cramer_tangency; the shifted and coordinate fields must annihilate
     E_0..E_n identically.  The jet-linear fields are not applied: each E_kl
     field is the derivative of X_M in m(k, l) (variant_free_frame), and no
     E_kappa contains a matrix entry, so E_kl(E_kappa) is the derivative of
@@ -428,17 +451,16 @@ def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     sends E_0 to a multiple of it and E_1..E_n to 0 is tangent at every point
     of the jet space."""
     eqs = defining_equations_iterated(ctx)
-    coefficient, shifted, coordinate = frame_families(ctx, chart)
-    jet_field = variant_free_frame(ctx).symbolic
+    jet_field, fields = variant_free_frame(ctx)
     try:
         quotient = jet_field.apply(eqs[0]).exact_div(eqs[0])
         jet_order0 = quotient == _solve_symbolic_table(ctx).top_factor
     except ValueError:
         jet_order0 = False
     return TangencyProof(
-        coefficient=_first_moving(coefficient, eqs),
-        shifted=_first_moving(shifted, eqs),
-        coordinate=_first_moving(coordinate, eqs),
+        coefficient=next(filter(None, (cramer_tangency(ctx, chart, variant) for variant, _ in VARIANTS)), None),
+        shifted=_first_moving([f for f in fields if f.kind == "shifted_coefficient"], eqs),
+        coordinate=_first_moving([f for f in fields if f.kind == "coordinate"], eqs),
         jet_order0=jet_order0,
         jet_higher=all(jet_field.apply(eq).is_zero() for eq in eqs[1:]),
     )

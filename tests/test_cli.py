@@ -18,8 +18,8 @@ from jetframes.frames import (
     admissible_coefficient_exponents,
     canonical_shifted_fields,
     coefficient_field,
+    coefficient_fields,
     coordinate_field,
-    frame_families,
     jet_linear_field,
     variant_free_frame,
 )
@@ -196,7 +196,12 @@ def _hand_assembled_families(ctx, chart):
 def test_frames_suite_reads_the_hand_assembled_families(n, d, last_chart):
     ctx = JetContext(n, d)
     chart = ctx.nvars if last_chart else 1
-    read = frame_families(ctx, chart)
+    fields = variant_free_frame(ctx).fields
+    read = (
+        [f for variant, _ in VARIANTS for f in coefficient_fields(ctx, chart, variant)],
+        [f for f in fields if f.kind == "shifted_coefficient"],
+        [f for f in fields if f.kind == "coordinate"],
+    )
     for got, want in zip(read, _hand_assembled_families(ctx, chart), strict=True):
         assert [f.label for f in got] == [f.label for f in want]
         assert [f.to_text() for f in got] == [f.to_text() for f in want]
@@ -216,13 +221,14 @@ def test_default_run_builds_each_frame_part_once(monkeypatch):
     counted("jet_linear_field", frames.jet_linear_field, lambda linear_map, *rest: (linear_map is None,))
     counted("matrix_partials", frames.matrix_partials)
     counted("coefficient_field", frames.coefficient_field, lambda variant, alpha, *rest: (variant, tuple(alpha)))
-    frames._frame.cache_clear()
-    frames.variant_free_frame.cache_clear()
+    caches = (frames.coefficient_fields, frames.variant_free_frame, frames.cramer_tangency)
+    for cache in caches:
+        cache.cache_clear()
     try:
         assert run(RunConfig(n=2, d=3, trials=2))["ok"]
     finally:
-        frames._frame.cache_clear()
-        frames.variant_free_frame.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     ctx = JetContext(2, 3)
     assert counts.pop(("jet_linear_field", True)) == 1
     assert counts.pop(("matrix_partials",)) == 1

@@ -18,10 +18,12 @@ from jetframes.algebra import (
     enumerate_exponents,
 )
 from jetframes.frames import (
+    FrameField,
     JetFieldTable,
     admissible_coefficient_exponents,
     canonical_shift_budget,
     coefficient_field,
+    coefficient_fields,
     coordinate_field,
     elementary_matrix,
     enumerate_frame,
@@ -34,10 +36,17 @@ from jetframes.frames import (
 from jetframes.jetspace import (
     JetContext,
     defining_equations_iterated,
+    monomial_jet_entry,
     sample_vertical_jet,
     total_derivative,
 )
-from jetframes.wronskian import VARIANT_CLASSICAL, VARIANT_POWER
+from jetframes.wronskian import (
+    VARIANT_CLASSICAL,
+    VARIANT_POWER,
+    VARIANTS,
+    cramer_coefficients,
+    cramer_system_residuals,
+)
 
 from reference_helpers import shift_split_identity
 
@@ -58,6 +67,37 @@ def test_coefficient_fields_annihilate_every_equation(variant):
             field = coefficient_field(variant, alpha, ctx, chart)
             for eq in eqs:
                 assert field.apply(eq).is_zero()
+
+
+def _cramer_rows(field: FrameField, ctx: JetContext) -> list:
+    """X(E_kappa), kappa = 0..n, read off a field X that moves only slots
+    |gamma| <= n: the sum of X[a_gamma] D^kappa(z^gamma)."""
+    slots = {ctx.coeff_var(gamma): gamma for gamma in enumerate_exponents(ctx.nvars, ctx.n)}
+    return [
+        sum((c * monomial_jet_entry(ctx, slots[v], kappa) for v, c in field.field.items()), Polynomial.zero())
+        for kappa in range(ctx.n + 1)
+    ]
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (3, 4)])
+def test_rows_read_off_each_coefficient_field_are_its_residuals_and_its_action(n, d):
+    ctx = JetContext(n, d)
+    eqs = defining_equations_iterated(ctx)
+    for chart in range(1, ctx.nvars + 1):
+        for variant, _ in VARIANTS:
+            alphas = admissible_coefficient_exponents(variant, ctx, chart)
+            for alpha, f in zip(alphas, coefficient_fields(ctx, chart, variant), strict=True):
+                rows = _cramer_rows(f, ctx)
+                assert rows == cramer_system_residuals(cramer_coefficients(variant, alpha, ctx, chart), ctx)
+                assert rows == [f.apply(eq) for eq in eqs]
+    # one more z_1 d/da_(0,...,0,1) moves every E_kappa by z_1 z_(n+1)^(kappa)
+    f = coefficient_fields(ctx, 1, VARIANT_POWER)[0]
+    slot = ctx.coeff_var((0,) * ctx.n + (1,))
+    moved = VectorField({**f.field.coeffs, slot: f.field.get(slot) + Polynomial.var(coord(1))})
+    perturbed = FrameField(f.kind, f.label, moved)
+    rows = _cramer_rows(perturbed, ctx)
+    assert rows == [perturbed.apply(eq) for eq in eqs]
+    assert not any(row.is_zero() for row in rows)
 
 
 def test_coefficient_field_count_by_enumeration():

@@ -11,6 +11,7 @@ import pytest
 import jetframes.analysis as analysis
 import jetframes.frames as frames
 from jetframes.algebra import (
+    COEFF,
     Polynomial,
     VectorField,
     determinant,
@@ -28,7 +29,13 @@ from jetframes.jetspace import (
     lift_vertical_jet,
     random_rational,
 )
-from jetframes.wronskian import VARIANT_POWER, VARIANTS, solved_exponents, system_determinant
+from jetframes.wronskian import (
+    VARIANT_CLASSICAL,
+    VARIANT_POWER,
+    VARIANTS,
+    solved_exponents,
+    system_determinant,
+)
 
 from reference_helpers import jacobian_rank_at, jacobian_values_at, jet_matrix_rank
 
@@ -265,7 +272,13 @@ def test_default_route_matches_the_pointwise_reference(n, d, chart_at, variant):
 def fresh_frames():
     """Empty the frame and proof caches before and after a test that builds
     them from patched parts."""
-    caches = (frames._frame, frames.variant_free_frame, frames.tangency_proof)
+    caches = (
+        frames.coefficient_fields,
+        frames.variant_free_frame,
+        frames._first_wrong_partial,
+        frames.cramer_tangency,
+        frames.tangency_proof,
+    )
     for cache in caches:
         cache.cache_clear()
     yield
@@ -302,6 +315,63 @@ def test_a_coefficient_field_failing_the_proof_takes_the_pointwise_product(monke
     assert all(not r.tangent_ok and r.first_offender == label for r in results)
     report = run(RunConfig(n=2, d=3, suites=("frames",)))
     assert [item["ok"] for item in report["suites"][0]["items"]] == [False] + [True] * 5
+    # the wronskian suite reads the same verdict, variant by variant
+    assert _cramer_items(run(RunConfig(n=2, d=3, suites=("wronskian",)))) == {"v1": False, "v2": True}
+
+
+def _cramer_items(report) -> dict:
+    """The wronskian suite's verdict on each variant's Cramer solutions."""
+    (suite,) = [s for s in report["suites"] if s["name"] == "wronskian"]
+    prefix = "cramer solution satisfies its system ("
+    return {i["name"][len(prefix):-1]: i["ok"] for i in suite["items"] if i["name"].startswith(prefix)}
+
+
+def test_a_perturbed_jet_entry_fails_the_cramer_check(monkeypatch, fresh_frames):
+    ctx = JetContext(2, 3)
+    real = frames.monomial_jet_entry
+
+    def perturbed(ctx, beta, kappa):
+        return real(ctx, beta, kappa) + (1 if (tuple(beta), kappa) == ((0, 1, 0), 1) else 0)
+
+    monkeypatch.setattr(frames, "monomial_jet_entry", perturbed)
+    # every field is right, but the table the rows are read with is not E_1's partials
+    assert [frames.cramer_tangency(ctx, 1, v) for v, _ in VARIANTS] == ["dE1/da(0,1,0)"] * len(VARIANTS)
+    report = run(RunConfig(n=2, d=3, suites=("wronskian", "frames")))
+    assert _cramer_items(report) == {"v1": False, "v2": False}
+    frames_items = report["suites"][1]["items"]
+    assert [item["ok"] for item in frames_items] == [False] + [True] * 5
+
+
+def test_a_coefficient_field_moving_a_long_slot_is_named(monkeypatch, fresh_frames):
+    ctx = JetContext(2, 3)
+    long_slot = ctx.coeff_var((0, 3, 0))  # |gamma| = 3 > n, outside the Cramer system
+    real = frames.coefficient_field
+
+    def broken(variant, alpha, ctx, chart=None):
+        f = real(variant, alpha, ctx, chart)
+        if variant == VARIANT_CLASSICAL and tuple(alpha) == (0, 0, 1):
+            return FrameField(f.kind, f.label, VectorField({**f.field.coeffs, long_slot: 1}))
+        return f
+
+    monkeypatch.setattr(frames, "coefficient_field", broken)
+    label = real(VARIANT_CLASSICAL, (0, 0, 1), ctx, 1).label
+    assert frames.cramer_tangency(ctx, 1, VARIANT_POWER) is None
+    assert frames.cramer_tangency(ctx, 1, VARIANT_CLASSICAL) == label
+    assert frames.tangency_proof(ctx, 1).coefficient == label
+
+
+def test_a_default_run_applies_no_coefficient_field_to_an_equation(monkeypatch, fresh_frames):
+    applied = []
+    real = VectorField.apply
+    monkeypatch.setattr(VectorField, "apply", lambda self, p: applied.append((self, p)) or real(self, p))
+    assert run(RunConfig(n=2, d=3))["ok"]
+    ctx = JetContext(2, 3)
+    coefficient = {id(f.field) for v, _ in VARIANTS for f in frames.coefficient_fields(ctx, 1, v)}
+    assert applied and coefficient
+    # the invariance brackets apply them to the generators' jet directions,
+    # which hold no coefficient; every E_kappa holds one
+    moved = [p for field, p in applied if id(field) in coefficient]
+    assert all(v[0] != COEFF for p in moved for v in p.variables())
 
 
 def test_a_jet_field_moving_e1_fails_the_proof(monkeypatch, fresh_frames):
