@@ -1,13 +1,12 @@
-"""Pole-order accounting with an independent chart-change oracle, the
-reparametrization-invariance checks, and the spanning/rank verdicts.
+"""Pole-order accounting, the reparametrization-invariance checks, and the
+spanning/rank verdicts.
 
 Pole order of a polynomial in coordinates and jets is defined as the maximum
 over its monomials of the per-variable weight sum, with weight(z_i) = 1 and
-weight(z_i^(lam)) = lam + 1.  The chart-change oracle transports a polynomial
-to another standard affine chart by exact formal differentiation of the
-inversion formulas and reports the reduced denominator exponent; for a single
-monomial this always equals the weight count, while multi-term objects may
-cancel below it (the report records both numbers).
+weight(z_i^(lam)) = lam + 1.  For a single monomial this equals the reduced
+denominator exponent of the chart change, while multi-term objects may cancel
+below it (the report records both numbers); the tests check both against an
+independent chart-change oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .algebra import (
     Variable,
     adjugate,
     common_integer_forms,
-    coord,
     integer_bareiss,
     iter_terms,
     jet,
@@ -85,68 +83,6 @@ def pole_order(p: Polynomial) -> PoleOrder:
         return PoleOrder(0, True)
     weights = {monomial_weight(pairs) for pairs, _ in iter_terms(p)}
     return PoleOrder(max(weights), len(weights) == 1)
-
-
-# -- chart-change oracle --------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def chart_transfer_pairs(upsilon: int, ctx: JetContext) -> dict:
-    """(numerator, exponent) pairs representing each coordinate and jet of the
-    original chart as numerator / z_upsilon^exponent in the target chart,
-    obtained by formally differentiating the inversion formulas."""
-    if not 1 <= upsilon <= ctx.nvars:
-        raise ValueError(f"chart index must lie in 1..{ctx.nvars}")
-    zu = Polynomial.var(coord(upsilon))
-    zu1 = Polynomial.var(jet(upsilon, 1))
-    pairs = {}
-    for i in range(1, ctx.nvars + 1):
-        if i == upsilon:
-            num, exp = Polynomial.const(1), 1
-        else:
-            num, exp = Polynomial.var(coord(i)), 1
-        pairs[coord(i)] = (num, exp)
-        for lam in range(1, ctx.n + 1):
-            num = total_derivative(num, ctx) * zu - exp * num * zu1
-            exp += 1
-            pairs[jet(i, lam)] = (num, exp)
-    return pairs
-
-
-def chart_change_oracle(p: Polynomial, upsilon: int, ctx: JetContext) -> tuple:
-    """Transport p to the chart inverted through z_upsilon; returns the
-    reduced (numerator, pole_exponent) with no common z_upsilon factor left."""
-    for v in p.variables():
-        if v[0] not in (COORD, JET):
-            raise ValueError("only coordinate/jet polynomials transport between charts")
-        if v[0] == JET and v[2] > ctx.n:
-            raise ValueError("jet order exceeds the context bound")
-    pairs = chart_transfer_pairs(upsilon, ctx)
-    zu = Polynomial.var(coord(upsilon))
-    transported = []  # (numerator, exponent) per term
-    max_exp = 0
-    for mono, c in iter_terms(p):
-        num = Polynomial.const(c)
-        exp = 0
-        for v, e in mono:
-            nv, ev = pairs[v]
-            num = num * nv ** e
-            exp += ev * e
-        transported.append((num, exp))
-        max_exp = max(max_exp, exp)
-    total = Polynomial.zero()
-    for num, exp in transported:
-        total = total + num * zu ** (max_exp - exp)
-    if total.is_zero():
-        return total, 0
-    exp = max_exp
-    while exp > 0:
-        try:
-            total = total.exact_div(zu)
-        except ValueError:
-            break
-        exp -= 1
-    return total, exp
 
 
 # -- pole table -------------------------------------------------------------------

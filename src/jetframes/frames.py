@@ -24,6 +24,7 @@ from .algebra import (
     VectorField,
     binomial_product,
     coord,
+    dot,
     enumerate_exponents,
     falling_product,
     integer_bareiss,
@@ -32,6 +33,7 @@ from .algebra import (
     mi_leq,
     mi_sub,
     mi_total,
+    sum_terms,
     unit_index,
     var_name,
 )
@@ -169,12 +171,11 @@ class JetFieldTable:
     def coefficient_direction(self, alpha) -> Polynomial:
         """A_alpha as a polynomial in z (and coefficients / matrix entries)."""
         alpha = tuple(alpha)
-        total = Polynomial.zero()
-        for beta in _jet_exponents(self.ctx):
-            entry = self.entries.get((alpha, beta))
-            if entry is not None and not entry.is_zero():
-                total = total + entry * self.ctx.monomial_z(beta)
-        return total
+        return dot(
+            (entry, self.ctx.monomial_z(beta))
+            for beta in _jet_exponents(self.ctx)
+            if (entry := self.entries.get((alpha, beta))) is not None
+        )
 
     def substitute_matrix(self, linear_map) -> "JetFieldTable":
         """The table at a numeric matrix: every m(k, l) bound to
@@ -198,7 +199,7 @@ def _remainder(rho, js, ctx: JetContext) -> Polynomial:
     js at the monomial z^{rho - sum e_j}: the matrix-transport of the ambient
     equation, coefficient-extracted in closed form."""
     nvars = ctx.nvars
-    total = Polynomial.zero()
+    terms = []
     for m in range(len(js)):
         jm = js[m]
         for l in range(1, nvars + 1):
@@ -212,8 +213,10 @@ def _remainder(rho, js, ctx: JetContext) -> Polynomial:
             c = falling_product(gamma_t, _counts(replaced, nvars))
             if c == 0:
                 continue
-            total = total + c * ctx.coeff_poly(gamma_t) * Polynomial.var(mat(l, jm))
-    return total
+            # c * a_gamma * m(l, jm), where the normalized slot's a_gamma is 1
+            a_gamma = () if gamma_t == ctx.normalized_exponent else ((ctx.coeff_var(gamma_t), 1),)
+            terms.append(((*a_gamma, (mat(l, jm), 1)), c))
+    return sum_terms(terms)
 
 
 def solve_jet_field_coefficients(ctx: JetContext, linear_map=None) -> JetFieldTable:
@@ -301,14 +304,13 @@ def jet_linear_field(linear_map, ctx: JetContext, table: JetFieldTable | None = 
     directions: dict = {}
     for k in range(1, ctx.nvars + 1):
         for lam in range(1, ctx.n + 1):
-            total = Polynomial.zero()
-            for l in range(1, ctx.nvars + 1):
-                if linear_map is None:
-                    m_kl = Polynomial.var(mat(k, l))
-                else:
-                    m_kl = Fraction(linear_map[k - 1][l - 1])
-                total = total + m_kl * Polynomial.var(jet(l, lam))
-            directions[jet(k, lam)] = total
+            directions[jet(k, lam)] = dot(
+                (
+                    Polynomial.var(mat(k, l)) if linear_map is None else Fraction(linear_map[k - 1][l - 1]),
+                    Polynomial.var(jet(l, lam)),
+                )
+                for l in range(1, ctx.nvars + 1)
+            )
     for alpha in ctx.coeff_exponents:
         a_dir = table.coefficient_direction(alpha)
         if not a_dir.is_zero():
@@ -336,7 +338,7 @@ def matrix_partials(field: VectorField, size: int) -> dict:
     parts: dict = {m: {} for m in entries}
     for v, c in field.items():
         partials = c.gradient(entries)
-        if sum((Polynomial.var(m) * dc for m, dc in partials.items()), Polynomial.zero()) != c:
+        if dot((Polynomial.var(m), dc) for m, dc in partials.items()) != c:
             raise ValueError(f"the d/d{var_name(v)} direction is not linear in the matrix entries")
         for m, dc in partials.items():
             parts[m][v] = dc
@@ -381,11 +383,16 @@ def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWE
     return list(coefficient_fields(ctx, chart, variant) + variant_free_frame(ctx).fields)
 
 
+def _slots(ctx: JetContext, exponents) -> dict:
+    """{a_gamma: gamma} for the coefficient slots gamma in exponents."""
+    return {ctx.coeff_var(gamma): gamma for gamma in exponents}
+
+
 @lru_cache(maxsize=None)
 def _first_wrong_partial(ctx: JetContext) -> str | None:
-    """The first partial dE_kappa/da_gamma, |gamma| <= n, that is not
-    D^kappa(z^gamma) (D moves no coefficient, so none should be), or None."""
-    slots = {ctx.coeff_var(gamma): gamma for gamma in _jet_exponents(ctx)}
+    """The first partial dE_kappa/da_gamma that is not D^kappa(z^gamma) (D
+    moves no coefficient, so none should be), or None."""
+    slots = _slots(ctx, ctx.coeff_exponents)
     for kappa, eq in enumerate(defining_equations_iterated(ctx)):
         partials = eq.gradient(slots)
         for v, gamma in slots.items():
@@ -394,31 +401,39 @@ def _first_wrong_partial(ctx: JetContext) -> str | None:
     return None
 
 
+def _first_moving_coefficients(fields, slots: dict, ctx: JetContext) -> str | None:
+    """The partial _first_wrong_partial names, or the label of the first
+    field that moves a variable outside slots or moves some E_kappa, or None.
+    A field X that moves only coefficient slots, in which E_kappa's partial is
+    D^kappa(z^gamma), has X(E_kappa) = sum X[a_gamma] D^kappa(z^gamma): it is
+    read off the field's own directions, and no equation is applied."""
+    if (mismatch := _first_wrong_partial(ctx)) is not None:
+        return mismatch
+    for f in fields:
+        if any(v not in slots for v, _ in f.field.items()):
+            return f.label
+        for kappa in range(ctx.n + 1):
+            if not dot((c, monomial_jet_entry(ctx, slots[v], kappa)) for v, c in f.field.items()).is_zero():
+                return f.label
+    return None
+
+
 @lru_cache(maxsize=None)
 def cramer_tangency(ctx: JetContext, chart: int, variant: int) -> str | None:
     """The first of one variant's coefficient fields that moves some E_kappa,
     or the partial _first_wrong_partial names, or None.  A coefficient
-    field X moves only slots |gamma| <= n, in which E_kappa's partial is
-    D^kappa(z^gamma), so X(E_kappa) = sum X[a_gamma] D^kappa(z^gamma): row
-    kappa of its Cramer system, read off the field's own directions."""
-    if (mismatch := _first_wrong_partial(ctx)) is not None:
-        return mismatch
-    slots = {ctx.coeff_var(gamma): gamma for gamma in _jet_exponents(ctx)}
-    for f in coefficient_fields(ctx, chart, variant):
-        if any(v not in slots for v, _ in f.field.items()):
-            return f.label
-        for kappa in range(ctx.n + 1):
-            row = sum((c * monomial_jet_entry(ctx, slots[v], kappa) for v, c in f.field.items()), Polynomial.zero())
-            if not row.is_zero():
-                return f.label
-    return None
+    field moves only slots |gamma| <= n, and the row kappa read off it is
+    row kappa of its Cramer system."""
+    return _first_moving_coefficients(
+        coefficient_fields(ctx, chart, variant), _slots(ctx, _jet_exponents(ctx)), ctx
+    )
 
 
 class TangencyProof(NamedTuple):
     """What tangency_proof found, as labels and booleans only."""
 
     coefficient: str | None  # the first failure of cramer_tangency over VARIANTS
-    shifted: str | None  # the first shifted field moving some E_kappa
+    shifted: str | None  # the first shifted field moving some E_kappa, read off its directions
     coordinate: str | None  # the first coordinate field moving some E_kappa
     jet_order0: bool  # X_M(E_0) = top_factor * E_0, X_M the symbolic jet-linear field
     jet_higher: bool  # X_M(E_kappa) = 0 for kappa = 1..n
@@ -442,14 +457,15 @@ def _first_moving(fields, eqs) -> str | None:
 def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     """Symbolic tangency of the cached frames of one chart, proved once per
     process.  The coefficient fields of each variant are decided by
-    cramer_tangency; the shifted and coordinate fields must annihilate
-    E_0..E_n identically.  The jet-linear fields are not applied: each E_kl
-    field is the derivative of X_M in m(k, l) (variant_free_frame), and no
-    E_kappa contains a matrix entry, so E_kl(E_kappa) is the derivative of
-    X_M(E_kappa) in m(k, l).  That is a multiple of E_0 for kappa = 0 once
-    X_M(E_0) is, and 0 for kappa >= 1 once X_M(E_kappa) is 0.  A field that
-    sends E_0 to a multiple of it and E_1..E_n to 0 is tangent at every point
-    of the jet space."""
+    cramer_tangency, and the shifted fields, which move only coefficient
+    slots, by the same rows over every slot; the coordinate fields must
+    annihilate E_0..E_n identically.  The jet-linear fields are not applied:
+    each E_kl field is the derivative of X_M in m(k, l) (variant_free_frame),
+    and no E_kappa contains a matrix entry, so E_kl(E_kappa) is the
+    derivative of X_M(E_kappa) in m(k, l).  That is a multiple of E_0 for
+    kappa = 0 once X_M(E_0) is, and 0 for kappa >= 1 once X_M(E_kappa) is 0.
+    A field that sends E_0 to a multiple of it and E_1..E_n to 0 is tangent
+    at every point of the jet space."""
     eqs = defining_equations_iterated(ctx)
     jet_field, fields = variant_free_frame(ctx)
     try:
@@ -459,7 +475,9 @@ def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
         jet_order0 = False
     return TangencyProof(
         coefficient=next(filter(None, (cramer_tangency(ctx, chart, variant) for variant, _ in VARIANTS)), None),
-        shifted=_first_moving([f for f in fields if f.kind == "shifted_coefficient"], eqs),
+        shifted=_first_moving_coefficients(
+            [f for f in fields if f.kind == "shifted_coefficient"], _slots(ctx, ctx.coeff_exponents), ctx
+        ),
         coordinate=_first_moving([f for f in fields if f.kind == "coordinate"], eqs),
         jet_order0=jet_order0,
         jet_higher=all(jet_field.apply(eq).is_zero() for eq in eqs[1:]),

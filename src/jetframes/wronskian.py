@@ -27,6 +27,7 @@ from .algebra import (
     Polynomial,
     adjugate,
     determinant,
+    dot,
     jet,
     mi_total,
     unit_index,
@@ -133,11 +134,9 @@ def cramer_coefficients(
     scale = system_determinant(solved, ctx)
     za = ctx.monomial_z(alpha)
     column = [monomial_jet_entry(ctx, alpha, kappa) for kappa in range(1, ctx.n + 1)]
-    bs = [sum(a * c for a, c in zip(row, column)) for row in system_adjugate(solved, ctx)]
+    bs = [dot(zip(row, column)) for row in system_adjugate(solved, ctx)]
     # the order-0 row: B_0 + sum_k B_k z^beta_k = scale * z^alpha
-    b0 = scale * za
-    for bk, beta in zip(bs, solved):
-        b0 = b0 - bk * ctx.monomial_z(beta)
+    b0 = dot([(scale, za), *((bk, -ctx.monomial_z(beta)) for bk, beta in zip(bs, solved))])
     return CramerCoefficients(solved=solved, alpha=alpha, scale=scale, b=(b0, *bs))
 
 

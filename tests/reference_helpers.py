@@ -1,24 +1,32 @@
 """Exact reference checks that only the tests call: the Jacobian's values
 and its rank over Q, cofactor determinants, polynomial divisibility, the
-per-monomial chart-change oracle, iterated total derivatives, the rank of
-the jet matrix and the split identity behind the shifted coefficient fields."""
+chart-change oracle and its per-monomial order, iterated total derivatives,
+the rank of the jet matrix, the split identity behind the shifted
+coefficient fields, and the product-built forms of integer Bareiss with
+polynomial right sides and of the jet-field remainders."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
 from jetframes.algebra import (
+    COORD,
+    JET,
+    InconsistentSystem,
     Polynomial,
+    UnderdeterminedSystem,
     _as_poly,
     _require_square,
     binomial_product,
     coord,
+    falling_product,
     iter_terms,
     jet,
+    mat,
     mi_sub,
     rank_rational,
 )
-from jetframes.analysis import chart_change_oracle
 from jetframes.jetspace import JetContext, JetPoint, jacobian_matrix_at, total_derivative
 
 
@@ -56,6 +64,65 @@ def _det_cofactor(m) -> Polynomial:
             total = total + sign * a * _det_cofactor(minor)
         sign = -sign
     return total
+
+
+@lru_cache(maxsize=None)
+def chart_transfer_pairs(upsilon: int, ctx: JetContext) -> dict:
+    """(numerator, exponent) pairs representing each coordinate and jet of the
+    original chart as numerator / z_upsilon^exponent in the target chart,
+    obtained by formally differentiating the inversion formulas."""
+    if not 1 <= upsilon <= ctx.nvars:
+        raise ValueError(f"chart index must lie in 1..{ctx.nvars}")
+    zu = Polynomial.var(coord(upsilon))
+    zu1 = Polynomial.var(jet(upsilon, 1))
+    pairs = {}
+    for i in range(1, ctx.nvars + 1):
+        if i == upsilon:
+            num, exp = Polynomial.const(1), 1
+        else:
+            num, exp = Polynomial.var(coord(i)), 1
+        pairs[coord(i)] = (num, exp)
+        for lam in range(1, ctx.n + 1):
+            num = total_derivative(num, ctx) * zu - exp * num * zu1
+            exp += 1
+            pairs[jet(i, lam)] = (num, exp)
+    return pairs
+
+
+def chart_change_oracle(p: Polynomial, upsilon: int, ctx: JetContext) -> tuple:
+    """Transport p to the chart inverted through z_upsilon; returns the
+    reduced (numerator, pole_exponent) with no common z_upsilon factor left."""
+    for v in p.variables():
+        if v[0] not in (COORD, JET):
+            raise ValueError("only coordinate/jet polynomials transport between charts")
+        if v[0] == JET and v[2] > ctx.n:
+            raise ValueError("jet order exceeds the context bound")
+    pairs = chart_transfer_pairs(upsilon, ctx)
+    zu = Polynomial.var(coord(upsilon))
+    transported = []  # (numerator, exponent) per term
+    max_exp = 0
+    for mono, c in iter_terms(p):
+        num = Polynomial.const(c)
+        exp = 0
+        for v, e in mono:
+            nv, ev = pairs[v]
+            num = num * nv ** e
+            exp += ev * e
+        transported.append((num, exp))
+        max_exp = max(max_exp, exp)
+    total = Polynomial.zero()
+    for num, exp in transported:
+        total = total + num * zu ** (max_exp - exp)
+    if total.is_zero():
+        return total, 0
+    exp = max_exp
+    while exp > 0:
+        try:
+            total = total.exact_div(zu)
+        except ValueError:
+            break
+        exp -= 1
+    return total, exp
 
 
 def monomial_oracle_order(p: Polynomial, upsilon: int, ctx: JetContext) -> int:
@@ -114,4 +181,76 @@ def shift_split_identity(alpha, ell, js: Sequence[int], e1: int, ctx: JetContext
         for j in second:
             p2 = p2.diff(coord(j))
         total = total + c * p1 * p2
+    return total
+
+
+def integer_bareiss_by_products(matrix: Sequence[Sequence[int]], rhs: Sequence) -> tuple:
+    """integer_bareiss with its right sides combined by products and
+    differences, one new polynomial per operation: the reference for the
+    right sides that integer_bareiss accumulates with dot."""
+    rows = [list(row) for row in matrix]
+    b = list(rhs)
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    sign = 1
+    prev = 1
+    rank = 0
+    while rank < min(nrows, ncols):
+        r = rank
+        pivot_at = next(
+            ((i, j) for j in range(r, ncols) for i in range(r, nrows) if rows[i][j]), None
+        )
+        if pivot_at is None:
+            break
+        i, j = pivot_at
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            b[r], b[i] = b[i], b[r]
+            sign = -sign
+        if j != r:
+            for row in rows:
+                row[r], row[j] = row[j], row[r]
+        top = rows[r]
+        pivot = top[r]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[r]
+            row[r + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[r + 1:], top[r + 1:])]
+            row[r] = 0
+            t = b[i] * pivot - b[r] * f
+            b[i] = t // prev if type(t) is int else t * Fraction(1, prev)
+        prev = pivot
+        rank += 1
+    det = sign * prev if rank == nrows == ncols else 0
+    for r in range(rank, nrows):
+        if b[r] != 0:
+            raise InconsistentSystem(f"row {r} reduces to 0 = {_as_poly(b[r]).to_text()}")
+    if rank < ncols:
+        raise UnderdeterminedSystem(f"rank {rank} < {ncols} unknowns: solution not unique")
+    x: list = [0] * ncols
+    for r in range(ncols - 1, -1, -1):
+        acc = b[r]
+        for j in range(r + 1, ncols):
+            if rows[r][j]:
+                acc = acc - x[j] * rows[r][j]
+        x[r] = acc * Fraction(1, rows[r][r])
+    return rank, det, x
+
+
+def remainder_by_products(rho, js: tuple, ctx: JetContext) -> Polynomial:
+    """frames._remainder as a sum of products c * a_gamma * m(l, j_m),
+    gamma = rho - e_(j_m) + e_l, c the falling product of gamma over the
+    multiset js with j_m replaced by l."""
+    total = Polynomial.zero()
+    for m, jm in enumerate(js):
+        for l in range(1, ctx.nvars + 1):
+            gamma = list(rho)
+            gamma[jm - 1] -= 1
+            gamma[l - 1] += 1
+            if gamma[jm - 1] < 0:
+                continue
+            replaced = js[:m] + (l,) + js[m + 1:]
+            c = falling_product(gamma, [replaced.count(j) for j in range(1, ctx.nvars + 1)])
+            if c:
+                total = total + c * ctx.coeff_poly(gamma) * Polynomial.var(mat(l, jm))
     return total

@@ -39,7 +39,6 @@ from jetframes.algebra import (
 from jetframes.analysis import (
     ReparamJet,
     action_coefficients_symbolic,
-    chart_change_oracle,
     invariance_check,
     pole_order,
     spanning_check,
@@ -73,7 +72,7 @@ from jetframes.wronskian import (
     power_wronskian_closed_form,
 )
 
-from reference_helpers import jacobian_rank_at, monomial_oracle_order
+from reference_helpers import chart_change_oracle, jacobian_rank_at, monomial_oracle_order
 
 
 def _degrees(mono) -> tuple:

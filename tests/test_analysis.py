@@ -10,8 +10,6 @@ from jetframes.analysis import (
     ReparamJet,
     action_coefficients_symbolic,
     action_matrix,
-    chart_change_oracle,
-    chart_transfer_pairs,
     field_vector,
     invariance_check,
     pole_order,
@@ -43,7 +41,7 @@ from jetframes.wronskian import (
     power_wronskian,
 )
 
-from reference_helpers import monomial_oracle_order
+from reference_helpers import chart_change_oracle, chart_transfer_pairs, monomial_oracle_order
 from reparam_helpers import inverse_jet, reparam_action, reparam_point, reparam_polynomial
 
 CTX23 = JetContext(2, 3)

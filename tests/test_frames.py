@@ -22,6 +22,7 @@ from jetframes.frames import (
     JetFieldTable,
     admissible_coefficient_exponents,
     canonical_shift_budget,
+    canonical_shifted_fields,
     coefficient_field,
     coefficient_fields,
     coordinate_field,
@@ -69,10 +70,13 @@ def test_coefficient_fields_annihilate_every_equation(variant):
                 assert field.apply(eq).is_zero()
 
 
-def _cramer_rows(field: FrameField, ctx: JetContext) -> list:
-    """X(E_kappa), kappa = 0..n, read off a field X that moves only slots
-    |gamma| <= n: the sum of X[a_gamma] D^kappa(z^gamma)."""
-    slots = {ctx.coeff_var(gamma): gamma for gamma in enumerate_exponents(ctx.nvars, ctx.n)}
+def _cramer_rows(field: FrameField, ctx: JetContext, exponents=None) -> list:
+    """X(E_kappa), kappa = 0..n, read off a field X that moves only the slots
+    in exponents (by default |gamma| <= n): the sum of X[a_gamma]
+    D^kappa(z^gamma)."""
+    if exponents is None:
+        exponents = enumerate_exponents(ctx.nvars, ctx.n)
+    slots = {ctx.coeff_var(gamma): gamma for gamma in exponents}
     return [
         sum((c * monomial_jet_entry(ctx, slots[v], kappa) for v, c in field.field.items()), Polynomial.zero())
         for kappa in range(ctx.n + 1)
@@ -97,6 +101,25 @@ def test_rows_read_off_each_coefficient_field_are_its_residuals_and_its_action(n
     perturbed = FrameField(f.kind, f.label, moved)
     rows = _cramer_rows(perturbed, ctx)
     assert rows == [perturbed.apply(eq) for eq in eqs]
+    assert not any(row.is_zero() for row in rows)
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (3, 4)])
+def test_rows_read_off_each_shifted_field_are_its_action(n, d):
+    ctx = JetContext(n, d)
+    eqs = defining_equations_iterated(ctx)
+    shifted = canonical_shifted_fields(ctx)
+    assert shifted
+    for f in shifted:
+        assert _cramer_rows(f, ctx, ctx.coeff_exponents) == [f.apply(eq) for eq in eqs]
+    # one more z_1 d/da_gamma on the longest slot moves every E_kappa by z_1 D^kappa(z^gamma)
+    gamma = ctx.coeff_exponents[-1]
+    f = shifted[-1]
+    slot = ctx.coeff_var(gamma)
+    moved = VectorField({**f.field.coeffs, slot: f.field.get(slot) + Polynomial.var(coord(1))})
+    moved = FrameField(f.kind, f.label, moved)
+    rows = _cramer_rows(moved, ctx, ctx.coeff_exponents)
+    assert rows == [moved.apply(eq) for eq in eqs]
     assert not any(row.is_zero() for row in rows)
 
 

@@ -4,6 +4,7 @@ with hypothesis (test-only)."""
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -22,6 +23,7 @@ from jetframes.algebra import (  # noqa: E402
     common_integer_forms,
     coord,
     determinant,
+    dot,
     enumerate_exponents,
     integer_bareiss,
     iter_terms,
@@ -33,10 +35,16 @@ from jetframes.algebra import (  # noqa: E402
     unit_index,
 )
 from jetframes.analysis import sample_for_variant  # noqa: E402
+from jetframes.frames import _remainder  # noqa: E402
 from jetframes.jetspace import JetContext, JetPoint, chain_matrix, monomial_series, power_chain  # noqa: E402
 from jetframes.wronskian import VARIANT_POWER  # noqa: E402
 
-from reference_helpers import det_cofactor, jacobian_values_at  # noqa: E402
+from reference_helpers import (  # noqa: E402
+    det_cofactor,
+    integer_bareiss_by_products,
+    jacobian_values_at,
+    remainder_by_products,
+)
 
 # one variable of every kind a table or an equation can hold
 VARIABLES = (coord(1), coord(2), jet(1, 1), jet(2, 2), coeff((0, 1)), coeff((1, 0)), mat(1, 2))
@@ -92,6 +100,35 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p + zero == p and p * one == p and (p * zero).is_zero()
     assert (p + (-p)).is_zero() and p - q == p + (-q)
+
+
+def _canonical(p):
+    """No zero coefficient is stored and integral ones are ints."""
+    return all(c != 0 and (type(c) is int or c.denominator != 1) for _, c in iter_terms(p))
+
+
+operands = st.one_of(polynomials, scalars, st.integers(min_value=-6, max_value=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(operands, operands), max_size=5))
+@example([])
+def test_dot_is_the_sum_of_products(pairs):
+    total = dot(iter(pairs))
+    assert type(total) is Polynomial and _canonical(total)
+    assert total == sum((p * q for p, q in pairs), Polynomial())
+    # each product cancels against its negative: nothing, not a zero, is stored
+    assert dot(pairs + [(p, -q) for p, q in pairs]).terms == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands, polynomials)
+def test_difference_is_the_sum_with_the_negative(a, p):
+    for left, right in ((p, a), (a, p), (p, p)):
+        got = left - right
+        assert type(got) is Polynomial and _canonical(got)
+        assert got == left + (-right)
+    assert (p - p).terms == {}
 
 
 # bindings stay small, so that substituting twice keeps few terms
@@ -161,6 +198,14 @@ def test_integer_form_divides_back_to_evaluate(p, q, values):
 @given(fields, polynomials, polynomials)
 def test_vector_field_obeys_the_leibniz_rule(x, p, q):
     assert x.apply(p * q) == x.apply(p) * q + p * x.apply(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields, polynomials)
+def test_apply_is_the_sum_of_coefficients_times_partials(x, p):
+    expected = sum((x.get(v) * dp for v, dp in p.gradient(p.variables()).items()), Polynomial())
+    applied = x.apply(p)
+    assert applied == expected and _canonical(applied)
 
 
 def _field_sum(*xs):
@@ -246,6 +291,55 @@ def test_scalar_right_sides_solve_as_polynomial_ones(system):
     assert all(isinstance(xi, (int, Fraction)) for xi in x)
     assert x == expected
     assert [sum(c * xi for c, xi in zip(row, x)) for row in a] == b
+
+
+@st.composite
+def polynomial_systems(draw):
+    """An integer matrix of any shape, with small entries so that singular
+    and inconsistent systems are common, and right sides that are
+    polynomials (one at least) or scalars."""
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = draw(st.integers(min_value=1, max_value=4))
+    entries = st.integers(min_value=-3, max_value=3)
+    a = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.one_of(small_polynomials, scalars), min_size=nrows, max_size=nrows))
+    b[draw(st.integers(min_value=0, max_value=nrows - 1))] = draw(small_polynomials)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_systems())
+@example(([[1, 1], [2, 2]], [Polynomial.var(coord(1)), Polynomial.var(coord(1), 1, 2)])).via("underdetermined")
+@example(([[1, 1], [2, 2]], [Polynomial.var(coord(1)), 1])).via("inconsistent")
+@example(([[0, 2], [3, 1]], [Polynomial.var(jet(1, 1)), Fraction(1, 2)])).via("a row swap")
+def test_polynomial_right_sides_solve_as_the_product_loop(system):
+    a, b = system
+    try:
+        expected = integer_bareiss_by_products(a, b)
+    except LinearSolveError as error:
+        with pytest.raises(type(error)):
+            integer_bareiss(a, b)
+        return
+    rank, det, x = integer_bareiss(a, b)
+    assert (rank, det) == expected[:2] and x == expected[2]
+    assert all(type(xi) is Polynomial and _canonical(xi) for xi in x)
+
+
+def _remainder_cases(ctx):
+    for rho in (ctx.normalized_exponent, *ctx.coeff_exponents):
+        for e in range(1, ctx.n + 1):
+            for js in combinations_with_replacement(range(1, ctx.nvars + 1), e):
+                yield rho, js, ctx
+
+
+REMAINDER_CASES = [case for nd in [(1, 2), (2, 3), (3, 4)] for case in _remainder_cases(JetContext(*nd))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(REMAINDER_CASES))
+def test_remainder_is_its_sum_of_products(case):
+    got = _remainder(*case)
+    assert got == remainder_by_products(*case) and _canonical(got)
 
 
 def _truncated_product(a, b):

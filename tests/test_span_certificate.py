@@ -14,6 +14,7 @@ from jetframes.algebra import (
     COEFF,
     Polynomial,
     VectorField,
+    coord,
     determinant,
     integer_bareiss,
     jet,
@@ -25,6 +26,7 @@ from jetframes.cli import RunConfig, run
 from jetframes.frames import FrameField, enumerate_frame
 from jetframes.jetspace import (
     JetContext,
+    defining_equations_iterated,
     first_jets_all_zero,
     lift_vertical_jet,
     random_rational,
@@ -339,7 +341,50 @@ def test_a_perturbed_jet_entry_fails_the_cramer_check(monkeypatch, fresh_frames)
     report = run(RunConfig(n=2, d=3, suites=("wronskian", "frames")))
     assert _cramer_items(report) == {"v1": False, "v2": False}
     frames_items = report["suites"][1]["items"]
-    assert [item["ok"] for item in frames_items] == [False] + [True] * 5
+    assert [item["ok"] for item in frames_items] == [False, False] + [True] * 4
+
+
+def test_a_wrong_partial_in_a_long_slot_fails_the_shifted_fields(monkeypatch, fresh_frames):
+    ctx = JetContext(2, 3)
+    real = frames.monomial_jet_entry
+
+    def perturbed(ctx, beta, kappa):
+        return real(ctx, beta, kappa) + (1 if (tuple(beta), kappa) == ((0, 3, 0), 1) else 0)
+
+    monkeypatch.setattr(frames, "monomial_jet_entry", perturbed)
+    # |gamma| = 3 > n: no coefficient field moves a_(0,3,0), but shifted fields do
+    assert frames.tangency_proof(ctx, 1).shifted == "dE1/da(0,3,0)"
+
+
+@pytest.mark.parametrize("moved", ["long slot", "coordinate", "E_n only"])
+def test_a_shifted_field_moving_an_equation_is_named(monkeypatch, fresh_frames, moved):
+    ctx = JetContext(2, 3)
+    z2 = Polynomial.var(coord(2))
+    real = frames.canonical_shifted_fields
+    broken = []
+
+    def with_one_broken(ctx):
+        fields = real(ctx)
+        f = fields[-1]
+        if moved == "E_n only":
+            # the shift pattern with |ell| = n: it annihilates E_0 and E_1 but not E_2
+            directions = {
+                ctx.coeff_var((0, 3, 0)): 1,
+                ctx.coeff_var((0, 2, 0)): -2 * z2,
+                ctx.coeff_var((0, 1, 0)): z2 * z2,
+            }
+        else:
+            v = ctx.coeff_var((0, 3, 0)) if moved == "long slot" else coord(2)
+            directions = {**f.field.coeffs, v: f.field.get(v) + 1}
+        fields[-1] = FrameField(f.kind, f.label, VectorField(directions))
+        broken.append(fields[-1])
+        return fields
+
+    monkeypatch.setattr(frames, "canonical_shifted_fields", with_one_broken)
+    proof = frames.tangency_proof(ctx, 1)
+    assert proof.shifted == broken[0].label and proof.coefficient is None and proof.coordinate is None
+    if moved == "E_n only":
+        assert [broken[0].apply(eq).is_zero() for eq in defining_equations_iterated(ctx)] == [True, True, False]
 
 
 def test_a_coefficient_field_moving_a_long_slot_is_named(monkeypatch, fresh_frames):
