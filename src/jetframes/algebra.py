@@ -15,6 +15,7 @@ canonical form is unaffected.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -228,16 +229,14 @@ class Polynomial:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other) -> "Polynomial":
-        if type(other) is not Polynomial:
-            other = _as_poly(other)
-        if not self.terms:
-            return other
+    def _merged(self, other: "Polynomial", op) -> "Polynomial":
+        """self op other, op adding or subtracting coefficients: other's terms
+        merged into a copy of self's, with no zero coefficient kept."""
         if not other.terms:
             return self
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
+            s = op(out.get(m, 0), c)
             if s:
                 out[m] = _norm_scalar(s)
             else:
@@ -245,6 +244,13 @@ class Polynomial:
         p = Polynomial()
         p.terms = out
         return p
+
+    def __add__(self, other) -> "Polynomial":
+        if type(other) is not Polynomial:
+            other = _as_poly(other)
+        if not self.terms:
+            return other
+        return self._merged(other, operator.add)
 
     __radd__ = __add__
 
@@ -256,18 +262,7 @@ class Polynomial:
     def __sub__(self, other) -> "Polynomial":
         if type(other) is not Polynomial:
             other = _as_poly(other)
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) - c
-            if s:
-                out[m] = _norm_scalar(s)
-            else:
-                out.pop(m, None)
-        p = Polynomial()
-        p.terms = out
-        return p
+        return self._merged(other, operator.sub)
 
     def __rsub__(self, other) -> "Polynomial":
         return _as_poly(other) - self
@@ -319,23 +314,19 @@ class Polynomial:
         """Formal partial derivative with respect to v."""
         return self.gradient((v,)).get(v, ZERO)
 
-    def _derivative_terms(self, variables) -> Iterator[tuple[Variable, Monomial, Scalar]]:
-        """(v, m / v, c * e) for each term c * m of self and each v^e in m
-        with v in variables: the terms of every partial derivative, one at a
-        time.  This is the one place a monomial is differentiated: gradient,
-        diff, VectorField.apply and so every total derivative read it."""
-        for m, c in self.terms.items():
-            for idx, (v, e) in enumerate(m):
-                if v in variables:
-                    yield v, (m[:idx] + m[idx + 1:] if e == 1 else m[:idx] + ((v, e - 1),) + m[idx + 1:]), c * e
-
     def gradient(self, variables) -> dict:
         """Every nonzero partial derivative {v: dself/dv} with v in
-        variables, from one pass over the terms."""
+        variables, from one pass over the terms.  This is the one place a
+        monomial is differentiated: diff, VectorField.apply and so every
+        total derivative go through it."""
         parts: dict = {}
-        for v, nm, c in self._derivative_terms(variables):
-            # m -> m / v is injective, so no two terms of one partial collide
-            parts.setdefault(v, {})[nm] = _norm_scalar(c)
+        for m, c in self.terms.items():
+            for idx, (v, e) in enumerate(m):
+                if v not in variables:
+                    continue
+                nm = m[:idx] + m[idx + 1:] if e == 1 else m[:idx] + ((v, e - 1),) + m[idx + 1:]
+                # m -> m / v is injective, so no two terms of one partial collide
+                parts.setdefault(v, {})[nm] = _norm_scalar(c * e)
         out = {}
         for v, terms in parts.items():
             p = Polynomial()
@@ -588,16 +579,11 @@ class VectorField:
         return iter(self.coeffs.items())
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """Apply the derivation to p (linear, Leibniz by construction): each
-        term of each partial dp/dv is multiplied into the output by the
-        coefficient of v, with no partial or product built on the way."""
-        coeffs = self.coeffs
+        """Apply the derivation to p (linear, Leibniz by construction)."""
         out: dict = {}
-        get = out.get
-        for v, dm, dc in p._derivative_terms(coeffs):
-            for m, c in coeffs[v].terms.items():
-                m = _mono_mul(dm, m)
-                out[m] = get(m, 0) + dc * c
+        for v, dp in p.gradient(self.coeffs).items():
+            for mono, c in (self.coeffs[v] * dp).terms.items():
+                out[mono] = out.get(mono, 0) + c
         return Polynomial(out)
 
     def bracket(self, other: "VectorField") -> "VectorField":
@@ -723,18 +709,17 @@ def integer_bareiss(
     square of full rank.
 
     Without rhs the solution is None.  With rhs (scalars or polynomials, one
-    per row), the right sides go through the same row operations: an int
-    stays an int, a minor of the augmented matrix, and any other scalar is
-    divided by multiplying by the pivot's inverse.  When some right side is
-    a polynomial, each row operation and each back-substitution step is one
-    dot.  Back substitution then gives the solution of matrix * x = rhs, in
-    scalars for scalar right sides and in polynomials otherwise.
+    per row), the right sides go through the same row operations.  Int right
+    sides stay ints, minors of the augmented matrix, and back substitution
+    gives the solution of matrix * x = rhs in scalars.  Otherwise each row
+    operation and each back-substitution step is one dot, and the solution
+    is in polynomials.
     InconsistentSystem is raised when a right side survives on a row that
     reduced to zero, and UnderdeterminedSystem, after it, when the rank is
     below the number of unknowns."""
     rows = [list(row) for row in matrix]
     b = None if rhs is None else list(rhs)
-    poly = b is not None and any(type(y) is Polynomial for y in b)
+    ints = b is not None and all(type(y) is int for y in b)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     sign = 1
@@ -763,11 +748,10 @@ def integer_bareiss(
             f = row[r]
             row[r + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[r + 1:], top[r + 1:])]
             row[r] = 0
-            if poly:
-                b[i] = dot(((b[i], Fraction(pivot, prev)), (b[r], Fraction(-f, prev))))
+            if ints:
+                b[i] = (b[i] * pivot - b[r] * f) // prev
             elif b is not None:
-                t = b[i] * pivot - b[r] * f
-                b[i] = t // prev if type(t) is int else t * Fraction(1, prev)
+                b[i] = dot(((b[i], Fraction(pivot, prev)), (b[r], Fraction(-f, prev))))
         prev = pivot
         rank += 1
     det = sign * prev if rank == nrows == ncols else 0
@@ -781,16 +765,16 @@ def integer_bareiss(
     # rank == ncols, so no column was swapped: row r has its pivot in column r
     x: list = [0] * ncols
     for r in range(ncols - 1, -1, -1):
-        if poly:
-            row = rows[r]
+        row = rows[r]
+        if ints:
+            acc = b[r]
+            for j in range(r + 1, ncols):
+                if row[j]:
+                    acc = acc - x[j] * row[j]
+            x[r] = acc * Fraction(1, row[r])
+        else:
             done = [(x[j], Fraction(-row[j], row[r])) for j in range(r + 1, ncols) if row[j]]
             x[r] = dot([(b[r], Fraction(1, row[r])), *done])
-            continue
-        acc = b[r]
-        for j in range(r + 1, ncols):
-            if rows[r][j]:
-                acc = acc - x[j] * rows[r][j]
-        x[r] = acc * Fraction(1, rows[r][r])
     return rank, det, x
 
 

@@ -28,6 +28,7 @@ from .algebra import (
     enumerate_exponents,
     falling_product,
     integer_bareiss,
+    iter_terms,
     jet,
     mat,
     mi_leq,
@@ -213,9 +214,8 @@ def _remainder(rho, js, ctx: JetContext) -> Polynomial:
             c = falling_product(gamma_t, _counts(replaced, nvars))
             if c == 0:
                 continue
-            # c * a_gamma * m(l, jm), where the normalized slot's a_gamma is 1
-            a_gamma = () if gamma_t == ctx.normalized_exponent else ((ctx.coeff_var(gamma_t), 1),)
-            terms.append(((*a_gamma, (mat(l, jm), 1)), c))
+            # c * a_gamma * m(l, jm)
+            terms.extend(((*mono, (mat(l, jm), 1)), c * k) for mono, k in iter_terms(ctx.coeff_poly(gamma_t)))
     return sum_terms(terms)
 
 
@@ -383,16 +383,11 @@ def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWE
     return list(coefficient_fields(ctx, chart, variant) + variant_free_frame(ctx).fields)
 
 
-def _slots(ctx: JetContext, exponents) -> dict:
-    """{a_gamma: gamma} for the coefficient slots gamma in exponents."""
-    return {ctx.coeff_var(gamma): gamma for gamma in exponents}
-
-
 @lru_cache(maxsize=None)
 def _first_wrong_partial(ctx: JetContext) -> str | None:
-    """The first partial dE_kappa/da_gamma that is not D^kappa(z^gamma) (D
-    moves no coefficient, so none should be), or None."""
-    slots = _slots(ctx, ctx.coeff_exponents)
+    """The first partial dE_kappa/da_gamma, |gamma| <= n, that is not
+    D^kappa(z^gamma) (D moves no coefficient, so none should be), or None."""
+    slots = {ctx.coeff_var(gamma): gamma for gamma in _jet_exponents(ctx)}
     for kappa, eq in enumerate(defining_equations_iterated(ctx)):
         partials = eq.gradient(slots)
         for v, gamma in slots.items():
@@ -401,15 +396,17 @@ def _first_wrong_partial(ctx: JetContext) -> str | None:
     return None
 
 
-def _first_moving_coefficients(fields, slots: dict, ctx: JetContext) -> str | None:
-    """The partial _first_wrong_partial names, or the label of the first
-    field that moves a variable outside slots or moves some E_kappa, or None.
-    A field X that moves only coefficient slots, in which E_kappa's partial is
-    D^kappa(z^gamma), has X(E_kappa) = sum X[a_gamma] D^kappa(z^gamma): it is
-    read off the field's own directions, and no equation is applied."""
+@lru_cache(maxsize=None)
+def cramer_tangency(ctx: JetContext, chart: int, variant: int) -> str | None:
+    """The first of one variant's coefficient fields that moves some E_kappa,
+    or the partial _first_wrong_partial names, or None.  A coefficient
+    field X moves only slots |gamma| <= n, in which E_kappa's partial is
+    D^kappa(z^gamma), so X(E_kappa) = sum X[a_gamma] D^kappa(z^gamma): row
+    kappa of its Cramer system, read off the field's own directions."""
     if (mismatch := _first_wrong_partial(ctx)) is not None:
         return mismatch
-    for f in fields:
+    slots = {ctx.coeff_var(gamma): gamma for gamma in _jet_exponents(ctx)}
+    for f in coefficient_fields(ctx, chart, variant):
         if any(v not in slots for v, _ in f.field.items()):
             return f.label
         for kappa in range(ctx.n + 1):
@@ -418,22 +415,27 @@ def _first_moving_coefficients(fields, slots: dict, ctx: JetContext) -> str | No
     return None
 
 
-@lru_cache(maxsize=None)
-def cramer_tangency(ctx: JetContext, chart: int, variant: int) -> str | None:
-    """The first of one variant's coefficient fields that moves some E_kappa,
-    or the partial _first_wrong_partial names, or None.  A coefficient
-    field moves only slots |gamma| <= n, and the row kappa read off it is
-    row kappa of its Cramer system."""
-    return _first_moving_coefficients(
-        coefficient_fields(ctx, chart, variant), _slots(ctx, _jet_exponents(ctx)), ctx
-    )
+def _first_moving_slots(fields, eqs, slots) -> str | None:
+    """The label of the first field that moves a variable outside slots or
+    moves some equation, or None.  A field X that moves only slots has
+    X(E) = sum X[a] dE/da over the slots a it moves: each equation's
+    partials are taken once, and each field's directions are dotted with
+    them, with no equation applied."""
+    partials = [eq.gradient(slots) for eq in eqs]
+    for f in fields:
+        if any(v not in slots for v, _ in f.field.items()):
+            return f.label
+        for grad in partials:
+            if not dot((c, grad[v]) for v, c in f.field.items() if v in grad).is_zero():
+                return f.label
+    return None
 
 
 class TangencyProof(NamedTuple):
     """What tangency_proof found, as labels and booleans only."""
 
     coefficient: str | None  # the first failure of cramer_tangency over VARIANTS
-    shifted: str | None  # the first shifted field moving some E_kappa, read off its directions
+    shifted: str | None  # the first shifted field moving some E_kappa
     coordinate: str | None  # the first coordinate field moving some E_kappa
     jet_order0: bool  # X_M(E_0) = top_factor * E_0, X_M the symbolic jet-linear field
     jet_higher: bool  # X_M(E_kappa) = 0 for kappa = 1..n
@@ -458,14 +460,14 @@ def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     """Symbolic tangency of the cached frames of one chart, proved once per
     process.  The coefficient fields of each variant are decided by
     cramer_tangency, and the shifted fields, which move only coefficient
-    slots, by the same rows over every slot; the coordinate fields must
-    annihilate E_0..E_n identically.  The jet-linear fields are not applied:
-    each E_kl field is the derivative of X_M in m(k, l) (variant_free_frame),
-    and no E_kappa contains a matrix entry, so E_kl(E_kappa) is the
-    derivative of X_M(E_kappa) in m(k, l).  That is a multiple of E_0 for
-    kappa = 0 once X_M(E_0) is, and 0 for kappa >= 1 once X_M(E_kappa) is 0.
-    A field that sends E_0 to a multiple of it and E_1..E_n to 0 is tangent
-    at every point of the jet space."""
+    slots, by their directions dotted with E_kappa's partials in those
+    slots; the coordinate fields must annihilate E_0..E_n identically.  The
+    jet-linear fields are not applied: each E_kl field is the derivative of
+    X_M in m(k, l) (variant_free_frame), and no E_kappa contains a matrix
+    entry, so E_kl(E_kappa) is the derivative of X_M(E_kappa) in m(k, l).
+    That is a multiple of E_0 for kappa = 0 once X_M(E_0) is, and 0 for
+    kappa >= 1 once X_M(E_kappa) is 0.  A field that sends E_0 to a multiple
+    of it and E_1..E_n to 0 is tangent at every point of the jet space."""
     eqs = defining_equations_iterated(ctx)
     jet_field, fields = variant_free_frame(ctx)
     try:
@@ -475,8 +477,8 @@ def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
         jet_order0 = False
     return TangencyProof(
         coefficient=next(filter(None, (cramer_tangency(ctx, chart, variant) for variant, _ in VARIANTS)), None),
-        shifted=_first_moving_coefficients(
-            [f for f in fields if f.kind == "shifted_coefficient"], _slots(ctx, ctx.coeff_exponents), ctx
+        shifted=_first_moving_slots(
+            [f for f in fields if f.kind == "shifted_coefficient"], eqs, frozenset(ctx.coeff_vars)
         ),
         coordinate=_first_moving([f for f in fields if f.kind == "coordinate"], eqs),
         jet_order0=jet_order0,

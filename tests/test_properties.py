@@ -200,14 +200,6 @@ def test_vector_field_obeys_the_leibniz_rule(x, p, q):
     assert x.apply(p * q) == x.apply(p) * q + p * x.apply(q)
 
 
-@settings(max_examples=200, deadline=None)
-@given(fields, polynomials)
-def test_apply_is_the_sum_of_coefficients_times_partials(x, p):
-    expected = sum((x.get(v) * dp for v, dp in p.gradient(p.variables()).items()), Polynomial())
-    applied = x.apply(p)
-    assert applied == expected and _canonical(applied)
-
-
 def _field_sum(*xs):
     directions = {v for x in xs for v in x.coeffs}
     return VectorField({v: sum((x.get(v) for x in xs), Polynomial()) for v in directions})
