@@ -386,17 +386,6 @@ class SpanningTrial:
     def ok(self) -> bool:
         return self.tangent_ok and self.rank == self.expected_rank
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "tangent_ok": self.tangent_ok,
-            "first_offender": self.first_offender,
-            "jacobian_rank": self.jacobian_rank,
-            "rank": self.rank,
-            "expected_rank": self.expected_rank,
-            "ok": self.ok,
-        }
-
 
 def field_vector(field: FrameField, point: JetPoint, ctx: JetContext) -> list:
     """The field's value at the point, one Fraction per ambient variable, by

@@ -38,7 +38,7 @@ from .algebra import (
     unit_index,
     var_name,
 )
-from .jetspace import JetContext, defining_equations_iterated, monomial_jet_entry
+from .jetspace import JetContext, defining_equations_iterated
 from .wronskian import VARIANT_POWER, VARIANTS, cramer_coefficients, excluded_exponents
 
 
@@ -383,52 +383,29 @@ def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWE
     return list(coefficient_fields(ctx, chart, variant) + variant_free_frame(ctx).fields)
 
 
-@lru_cache(maxsize=None)
-def _first_wrong_partial(ctx: JetContext) -> str | None:
-    """The first partial dE_kappa/da_gamma, |gamma| <= n, that is not
-    D^kappa(z^gamma) (D moves no coefficient, so none should be), or None."""
-    slots = {ctx.coeff_var(gamma): gamma for gamma in _jet_exponents(ctx)}
-    for kappa, eq in enumerate(defining_equations_iterated(ctx)):
-        partials = eq.gradient(slots)
-        for v, gamma in slots.items():
-            if partials.get(v, Polynomial.zero()) != monomial_jet_entry(ctx, gamma, kappa):
-                return f"dE{kappa}/d{var_name(v)}"
-    return None
+def _first_nonzero_image(fields, eqs) -> str | None:
+    """The label of the first field X with X(E) != 0 for some E in eqs, or
+    None.  X(E) = sum_v X[v] dE/dv over the variables v that X moves, for
+    any field: each equation's partials are taken once, in every variable
+    some field moves, and each field's directions are dotted with them."""
+    moved = {v for f in fields for v, _ in f.field.items()}
+    first = len(fields)
+    for eq in eqs:
+        grad = eq.gradient(moved)  # one equation's partials at a time
+        for i, f in enumerate(fields[:first]):
+            if not dot((c, grad[v]) for v, c in f.field.items() if v in grad).is_zero():
+                first = i  # only a field before it can still be named
+                break
+    return fields[first].label if first < len(fields) else None
 
 
 @lru_cache(maxsize=None)
 def cramer_tangency(ctx: JetContext, chart: int, variant: int) -> str | None:
     """The first of one variant's coefficient fields that moves some E_kappa,
-    or the partial _first_wrong_partial names, or None.  A coefficient
-    field X moves only slots |gamma| <= n, in which E_kappa's partial is
-    D^kappa(z^gamma), so X(E_kappa) = sum X[a_gamma] D^kappa(z^gamma): row
-    kappa of its Cramer system, read off the field's own directions."""
-    if (mismatch := _first_wrong_partial(ctx)) is not None:
-        return mismatch
-    slots = {ctx.coeff_var(gamma): gamma for gamma in _jet_exponents(ctx)}
-    for f in coefficient_fields(ctx, chart, variant):
-        if any(v not in slots for v, _ in f.field.items()):
-            return f.label
-        for kappa in range(ctx.n + 1):
-            if not dot((c, monomial_jet_entry(ctx, slots[v], kappa)) for v, c in f.field.items()).is_zero():
-                return f.label
-    return None
-
-
-def _first_moving_slots(fields, eqs, slots) -> str | None:
-    """The label of the first field that moves a variable outside slots or
-    moves some equation, or None.  A field X that moves only slots has
-    X(E) = sum X[a] dE/da over the slots a it moves: each equation's
-    partials are taken once, and each field's directions are dotted with
-    them, with no equation applied."""
-    partials = [eq.gradient(slots) for eq in eqs]
-    for f in fields:
-        if any(v not in slots for v, _ in f.field.items()):
-            return f.label
-        for grad in partials:
-            if not dot((c, grad[v]) for v, c in f.field.items() if v in grad).is_zero():
-                return f.label
-    return None
+    or None.  A coefficient field moves slots |gamma| <= n, in which
+    E_kappa's partial is D^kappa(z^gamma), so its image of E_kappa is row
+    kappa of its Cramer system."""
+    return _first_nonzero_image(coefficient_fields(ctx, chart, variant), defining_equations_iterated(ctx))
 
 
 class TangencyProof(NamedTuple):
@@ -447,40 +424,24 @@ class TangencyProof(NamedTuple):
         return not (self.coefficient or self.shifted or self.coordinate) and self.jet_order0 and self.jet_higher
 
 
-def _first_moving(fields, eqs) -> str | None:
-    """The label of the first field that does not annihilate every equation."""
-    for f in fields:
-        if not all(f.apply(eq).is_zero() for eq in eqs):
-            return f.label
-    return None
-
-
 @lru_cache(maxsize=None)
 def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     """Symbolic tangency of the cached frames of one chart, proved once per
-    process.  The coefficient fields of each variant are decided by
-    cramer_tangency, and the shifted fields, which move only coefficient
-    slots, by their directions dotted with E_kappa's partials in those
-    slots; the coordinate fields must annihilate E_0..E_n identically.  The
-    jet-linear fields are not applied: each E_kl field is the derivative of
-    X_M in m(k, l) (variant_free_frame), and no E_kappa contains a matrix
-    entry, so E_kl(E_kappa) is the derivative of X_M(E_kappa) in m(k, l).
-    That is a multiple of E_0 for kappa = 0 once X_M(E_0) is, and 0 for
-    kappa >= 1 once X_M(E_kappa) is 0.  A field that sends E_0 to a multiple
-    of it and E_1..E_n to 0 is tangent at every point of the jet space."""
+    process.  The coefficient fields of each variant (cramer_tangency), the
+    shifted and coordinate fields and the symbolic field X_M on E_1..E_n
+    are decided by _first_nonzero_image; X_M(E_0) must be top_factor * E_0.
+    The E_kl fields are not checked: each is the derivative of X_M in
+    m(k, l) (variant_free_frame), and no E_kappa contains a matrix entry, so
+    E_kl(E_kappa) is the derivative of X_M(E_kappa) in m(k, l).  That is a
+    multiple of E_0 for kappa = 0 once X_M(E_0) is, and 0 for kappa >= 1
+    once X_M(E_kappa) is 0.  A field that sends E_0 to a multiple of it and
+    E_1..E_n to 0 is tangent at every point of the jet space."""
     eqs = defining_equations_iterated(ctx)
     jet_field, fields = variant_free_frame(ctx)
-    try:
-        quotient = jet_field.apply(eqs[0]).exact_div(eqs[0])
-        jet_order0 = quotient == _solve_symbolic_table(ctx).top_factor
-    except ValueError:
-        jet_order0 = False
     return TangencyProof(
         coefficient=next(filter(None, (cramer_tangency(ctx, chart, variant) for variant, _ in VARIANTS)), None),
-        shifted=_first_moving_slots(
-            [f for f in fields if f.kind == "shifted_coefficient"], eqs, frozenset(ctx.coeff_vars)
-        ),
-        coordinate=_first_moving([f for f in fields if f.kind == "coordinate"], eqs),
-        jet_order0=jet_order0,
-        jet_higher=all(jet_field.apply(eq).is_zero() for eq in eqs[1:]),
+        shifted=_first_nonzero_image([f for f in fields if f.kind == "shifted_coefficient"], eqs),
+        coordinate=_first_nonzero_image([f for f in fields if f.kind == "coordinate"], eqs),
+        jet_order0=(jet_field.apply(eqs[0]) - _solve_symbolic_table(ctx).top_factor * eqs[0]).is_zero(),
+        jet_higher=_first_nonzero_image([jet_field], eqs[1:]) is None,
     )

@@ -572,7 +572,7 @@ def test_integer_rows_are_positive_multiples_of_field_vectors(ctx):
 
 def test_spanning_check_never_calls_evaluate(monkeypatch):
     reference = {
-        variant: [r.to_dict() for r in spanning_check(CTX23, chart=1, trials=3, seed=42, variant=variant)]
+        variant: spanning_check(CTX23, chart=1, trials=3, seed=42, variant=variant)
         for variant, _ in VARIANTS
     }
 
@@ -582,7 +582,7 @@ def test_spanning_check_never_calls_evaluate(monkeypatch):
     monkeypatch.setattr(Polynomial, "evaluate", refuse)
     for variant, _ in VARIANTS:
         results = spanning_check(CTX23, chart=1, trials=3, seed=42, variant=variant)
-        assert [r.to_dict() for r in results] == reference[variant]
+        assert results == reference[variant]
 
 
 def _count_calls(monkeypatch, module, name):
@@ -616,7 +616,7 @@ def test_spanning_falls_back_to_exact_rank_when_the_certificate_fails(monkeypatc
 
     ctx = CTX23
     jacobian = ctx.n + 1
-    reference = [r.to_dict() for r in spanning_check(ctx, chart=1, trials=3, seed=42)]
+    reference = spanning_check(ctx, chart=1, trials=3, seed=42)
     calls = _count_calls(monkeypatch, analysis, "rank_rational")
 
     def unreadable(fields, ctx, chart, variant):
@@ -633,7 +633,7 @@ def test_spanning_falls_back_to_exact_rank_when_the_certificate_fails(monkeypatc
             calls.clear()
             results = spanning_check(ctx, chart=1, trials=3, seed=42)
             assert calls == [28] * 3  # the frame's rows; the chain minor still gives rank J
-            assert [r.to_dict() for r in results] == reference
+            assert results == reference
     # short on the Jacobian only: unless rank J = n+1 is proven, expected
     # bounds nothing, so the frame's rank is taken exactly although the
     # pivots hold.  A zero chain minor proves nothing, so J is ranked
@@ -649,7 +649,7 @@ def test_spanning_falls_back_to_exact_rank_when_the_certificate_fails(monkeypatc
     results = spanning_check(ctx, chart=1, trials=3, seed=42)
     assert short == [jacobian, 28] * 3
     assert [r.jacobian_rank for r in results] == [jacobian - 1] * 3
-    assert [r.rank for r in results] == [r["rank"] for r in reference]
+    assert [r.rank for r in results] == [r.rank for r in reference]
 
 
 def test_spanning_reports_exact_rank_with_a_non_tangent_field(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 import jetframes.analysis as analysis
 import jetframes.frames as frames
+import jetframes.wronskian as wronskian
 from jetframes.algebra import (
     COEFF,
     Polynomial,
@@ -130,11 +131,11 @@ def test_spanning_takes_the_dense_route_when_the_pattern_breaks(monkeypatch):
     doubled = fields + [fields[0]]
     with pytest.raises(SpanPatternError, match="pivot of both"):
         span_pattern(doubled, ctx, 1, VARIANT_POWER)
-    reference = [r.to_dict() for r in spanning_check(ctx, chart=1, trials=2, seed=5)]
+    reference = spanning_check(ctx, chart=1, trials=2, seed=5)
     sizes = []
     real = analysis.rank_rational
     monkeypatch.setattr(analysis, "rank_rational", lambda m: sizes.append(len(m)) or real(m))
-    results = [r.to_dict() for r in spanning_check(ctx, chart=1, trials=2, seed=5, fields=doubled)]
+    results = spanning_check(ctx, chart=1, trials=2, seed=5, fields=doubled)
     assert results == reference
     assert sizes == [ctx.n + 1, len(doubled)] * 2
 
@@ -277,7 +278,6 @@ def fresh_frames():
     caches = (
         frames.coefficient_fields,
         frames.variant_free_frame,
-        frames._first_wrong_partial,
         frames.cramer_tangency,
         frames.tangency_proof,
     )
@@ -328,27 +328,44 @@ def _cramer_items(report) -> dict:
     return {i["name"][len(prefix):-1]: i["ok"] for i in suite["items"] if i["name"].startswith(prefix)}
 
 
-def test_a_perturbed_jet_entry_fails_the_cramer_check(monkeypatch, fresh_frames):
+@pytest.fixture
+def fresh_systems():
+    """Empty the cached Cramer system determinants and adjugates before and
+    after a test that builds them from patched jet entries."""
+    caches = (wronskian.system_determinant, wronskian.system_adjugate)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_a_perturbed_jet_entry_fails_the_cramer_check(monkeypatch, fresh_frames, fresh_systems):
     ctx = JetContext(2, 3)
-    real = frames.monomial_jet_entry
+    real = wronskian.monomial_jet_entry
 
     def perturbed(ctx, beta, kappa):
         return real(ctx, beta, kappa) + (1 if (tuple(beta), kappa) == ((0, 1, 0), 1) else 0)
 
-    monkeypatch.setattr(frames, "monomial_jet_entry", perturbed)
-    # every field is right, but the table the rows are read with is not E_1's partials
-    assert [frames.cramer_tangency(ctx, 1, v) for v, _ in VARIANTS] == ["dE1/da(0,1,0)"] * len(VARIANTS)
+    monkeypatch.setattr(wronskian, "monomial_jet_entry", perturbed)
+    # the Cramer vectors solve a system that is not E_1's partials: v1 reads
+    # a wrong column for alpha = (0, 1, 0) only, v2 a wrong solved column
+    # for every alpha, so its first field fails
+    assert [frames.cramer_tangency(ctx, 1, v) for v, _ in VARIANTS] == [
+        frames.coefficient_field(VARIANT_POWER, (0, 1, 0), ctx, 1).label,
+        frames.coefficient_fields(ctx, 1, VARIANT_CLASSICAL)[0].label,
+    ]
     report = run(RunConfig(n=2, d=3, suites=("wronskian", "frames")))
     assert _cramer_items(report) == {"v1": False, "v2": False}
     frames_items = report["suites"][1]["items"]
     assert [item["ok"] for item in frames_items] == [False] + [True] * 5
 
 
-def test_the_shifted_fields_read_no_jet_entry_of_a_long_slot(monkeypatch, fresh_frames):
+def test_the_shifted_fields_read_no_jet_entry_of_a_long_slot(monkeypatch, fresh_frames, fresh_systems):
     ctx = JetContext(2, 3)
-    real = frames.monomial_jet_entry
+    real = wronskian.monomial_jet_entry
     read = []
-    monkeypatch.setattr(frames, "monomial_jet_entry", lambda ctx, beta, kappa: read.append(beta) or real(ctx, beta, kappa))
+    monkeypatch.setattr(wronskian, "monomial_jet_entry", lambda ctx, beta, kappa: read.append(beta) or real(ctx, beta, kappa))
     assert frames.tangency_proof(ctx, 1).holds
     # shifted fields move slots |gamma| > n as well, and are decided by
     # E_kappa's own partials there: the cached entries stay those of the
@@ -387,15 +404,17 @@ def test_a_shifted_field_moving_an_equation_is_named(monkeypatch, fresh_frames, 
         assert [broken[0].apply(eq).is_zero() for eq in defining_equations_iterated(ctx)] == [True, True, False]
 
 
-def test_a_coefficient_field_moving_a_long_slot_is_named(monkeypatch, fresh_frames):
+@pytest.mark.parametrize("moved", ["long slot", "coordinate", "jet"])
+def test_a_coefficient_field_moving_a_long_slot_is_named(monkeypatch, fresh_frames, moved):
     ctx = JetContext(2, 3)
-    long_slot = ctx.coeff_var((0, 3, 0))  # |gamma| = 3 > n, outside the Cramer system
+    # outside the Cramer system: a slot |gamma| = 3 > n, z_2 (moves E_0) or z_1' (moves E_1)
+    extra = {"long slot": ctx.coeff_var((0, 3, 0)), "coordinate": coord(2), "jet": jet(1, 1)}[moved]
     real = frames.coefficient_field
 
     def broken(variant, alpha, ctx, chart=None):
         f = real(variant, alpha, ctx, chart)
         if variant == VARIANT_CLASSICAL and tuple(alpha) == (0, 0, 1):
-            return FrameField(f.kind, f.label, VectorField({**f.field.coeffs, long_slot: 1}))
+            return FrameField(f.kind, f.label, VectorField({**f.field.coeffs, extra: 1}))
         return f
 
     monkeypatch.setattr(frames, "coefficient_field", broken)
@@ -432,6 +451,24 @@ def test_a_jet_field_moving_e1_fails_the_proof(monkeypatch, fresh_frames):
     jacobians = _spy(monkeypatch, analysis, "jacobian_matrix_at")
     assert all(r.ok for r in spanning_check(ctx, chart=1, trials=2, seed=0))
     assert len(jacobians) == 2
+
+
+@pytest.mark.parametrize("added", ["one", "E_0"])
+def test_a_jet_field_with_a_wrong_order0_image_fails_the_proof(monkeypatch, fresh_frames, added):
+    ctx = JetContext(2, 3)
+    real = frames.variant_free_frame(ctx)
+    a0 = ctx.coeff_var((0, 0, 0))
+    # dE_0/da_0 = 1, so X_M(E_0) gains 1 (not a multiple of E_0) or E_0
+    # (a multiple, with top_factor + 1 in place of top_factor); no E_kappa,
+    # kappa >= 1, holds a_0
+    extra = 1 if added == "one" else defining_equations_iterated(ctx)[0]
+    moved = VectorField({**real.symbolic.field.coeffs, a0: real.symbolic.field.get(a0) + extra})
+    mutated = frames.VariantFreeFrame(FrameField("jet_linear", "jet[symbolic]", moved), real.fields)
+    monkeypatch.setattr(frames, "variant_free_frame", lambda ctx: mutated)
+    proof = frames.tangency_proof(ctx, 1)
+    assert not proof.jet_order0 and proof.jet_higher and not proof.holds
+    items = run(RunConfig(n=2, d=3, suites=("frames",)))["suites"][0]["items"]
+    assert [item["name"] for item in items if not item["ok"]] == ["jet field order-0 tangency divisible by E0"]
 
 
 def test_a_zero_chain_minor_ranks_the_jacobian(monkeypatch):
