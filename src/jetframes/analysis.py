@@ -28,6 +28,7 @@ from .algebra import (
     Variable,
     adjugate,
     common_integer_forms,
+    enumerate_exponents,
     integer_bareiss,
     iter_terms,
     jet,
@@ -37,7 +38,7 @@ from .algebra import (
     sum_terms,
     var_name,
 )
-from .frames import FrameField, admissible_coefficient_exponents, enumerate_frame, tangency_proof
+from .frames import CramerField, FrameField, admissible_coefficient_exponents, enumerate_frame, tangency_proof
 from .jetspace import (
     JetContext,
     JetPoint,
@@ -51,11 +52,13 @@ from .jetspace import (
 from .wronskian import (
     VARIANT_POWER,
     VARIANTS,
+    adjugate_identity_holds,
     classical_wronskian,
     cramer_coefficients,
     excluded_exponents,
     power_wronskian,
     solved_exponents,
+    system_column,
     system_determinant,
 )
 
@@ -360,12 +363,60 @@ def invariance_check(field, rj: ReparamJet, ctx: JetContext) -> bool:
     return pushforward_field(field, rj, ctx) == vf
 
 
+@lru_cache(maxsize=None)
+def _generators_act_on_columns(ctx: JetContext) -> bool:
+    """The context's facts behind _cramer_invariant: each generator V_k moves
+    only jets, by directions that hold only jets, and sends every column
+    entry D^kappa(z^beta), |beta| <= n, kappa = 1..n, to
+    C(kappa, k) k! D^(kappa-k+1)(z^beta), and to 0 for kappa < k.  So V_k
+    acts on every column of the Cramer systems, solved or not, by one
+    strictly lower triangular integer matrix N_k: V_k(M) = N_k M and
+    V_k(c_alpha) = N_k c_alpha."""
+    columns = [system_column(beta, ctx)[1:] for beta in enumerate_exponents(ctx.nvars, ctx.n)]
+    for k, v in enumerate(reparam_generators(ctx), start=2):
+        if any(u[0] != JET or any(w[0] != JET for w in c.variables()) for u, c in v.items()):
+            return False
+        for column in columns:
+            for kappa, entry in enumerate(column, start=1):
+                image = v.apply(entry)
+                if kappa < k:
+                    if not image.is_zero():
+                        return False
+                elif image != math.comb(kappa, k) * math.factorial(k) * column[kappa - k]:
+                    return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _cramer_invariant(solved: tuple, ctx: JetContext) -> bool:
+    """True when every CramerField over the solved slots commutes with every
+    V_k, from _generators_act_on_columns, W != 0, V_k(W) = 0 and
+    M adj(M) = W I.  Then det(M) det(adj(M)) = W^n != 0, so
+    adj(M) = W M^-1 and V_k(adj(M)) = -W M^-1 N_k M M^-1 = -adj(M) N_k;
+    hence V_k(B) = -adj(M) N_k c_alpha + adj(M) N_k c_alpha = 0 for
+    B = adj(M) c_alpha, and V_k(B_0) = 0, V_k fixing every z^gamma.  At
+    each variable v, [V_k, X_alpha] is V_k(X_v) - X_alpha(V_k,v): the first
+    is V_k of W, B_0 or B_k, and the second is 0, since X_alpha moves only
+    coefficients and V_k's directions hold only jets."""
+    w = system_determinant(solved, ctx)
+    return (
+        not w.is_zero()
+        and _generators_act_on_columns(ctx)
+        and all(v.apply(w).is_zero() for v in reparam_generators(ctx))
+        and adjugate_identity_holds(solved, ctx)
+    )
+
+
 def invariance_proved(field, ctx: JetContext) -> bool:
     """True iff [V_k, field] = 0 for every generator of reparam_generators.
     Then invariance_check holds for every draw: G_n is connected and
     unipotent, so exp maps its Lie algebra onto it, and the jet action is a
     homomorphism.  A nonzero bracket means some element of G_n moves the
-    field."""
+    field.  A CramerField is decided from its Cramer data where
+    _cramer_invariant holds, with no field expanded; otherwise, and for
+    every other field, by the brackets."""
+    if isinstance(field, CramerField) and field.ctx == ctx and _cramer_invariant(field.solved, ctx):
+        return True
     vf = field.field if isinstance(field, FrameField) else field
     return all(not v.bracket(vf).coeffs for v in reparam_generators(ctx))
 
@@ -400,10 +451,15 @@ def field_vector(field: FrameField, point: JetPoint, ctx: JetContext) -> list:
 def _field_forms(field: FrameField, ctx: JetContext, columns: Sequence[int] | None = None) -> list:
     """(ambient index, integer form) for each direction the field moves, or
     for those among the given ambient indices, the forms sharing one scale
-    and degree."""
+    and degree.  A CramerField read at its own slot alone gives W's form,
+    without expanding the field."""
     ambient = ctx.ambient_variables
     indices = range(len(ambient)) if columns is None else columns
-    slots = [(j, field.field.coeffs[ambient[j]]) for j in indices if ambient[j] in field.field.coeffs]
+    if isinstance(field, CramerField) and columns is not None and {ambient[j] for j in columns} == {field.slot}:
+        directions = {field.slot: field.scale}
+    else:
+        directions = field.field.coeffs
+    slots = [(j, directions[ambient[j]]) for j in indices if ambient[j] in directions]
     forms = common_integer_forms([p for _, p in slots])
     return [(j, form) for (j, _), form in zip(slots, forms)]
 
@@ -455,14 +511,22 @@ def span_pattern(fields: Sequence[FrameField], ctx: JetContext, chart: int, vari
     Every remaining row has its pivot at its longest free slot, and every
     other free slot it moves is strictly shorter.  Every coordinate and free
     column is the pivot of exactly one row.  Raises SpanPatternError, naming
-    the field and the column, where the fields break this."""
+    the field and the column, where the fields break this.
+
+    A CramerField of this variant's system with W != 0 is read without
+    expanding it: besides the excluded slots a_0 and a_(beta_k), it moves
+    a_alpha alone, by W."""
     index = {v: j for j, v in enumerate(ctx.ambient_variables)}
     excluded = {ctx.coeff_var(alpha) for alpha in excluded_exponents(variant, ctx, chart)}
+    solved = solved_exponents(variant, ctx, chart)
     owner: dict = {}  # pivot column -> label of its row
     pivots = []
     jet_rows = []
     for r, f in enumerate(fields):
-        moved = {v: c for v, c in f.field.items() if v in index}  # the row's nonzero columns
+        if isinstance(f, CramerField) and f.ctx == ctx and f.solved == solved and not f.scale.is_zero():
+            moved = {f.slot: f.scale}  # its nonzero columns outside the excluded ones
+        else:
+            moved = {v: c for v, c in f.field.items() if v in index}  # the row's nonzero columns
         coords = [v for v in moved if v[0] == COORD]
         jets = [v for v in moved if v[0] == JET]
         if coords:

@@ -13,9 +13,8 @@ their build-time tangency certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple, Sequence
 
@@ -39,14 +38,26 @@ from .algebra import (
     var_name,
 )
 from .jetspace import JetContext, defining_equations_iterated
-from .wronskian import VARIANT_POWER, VARIANTS, cramer_coefficients, excluded_exponents
+from .wronskian import (
+    VARIANT_POWER,
+    VARIANTS,
+    adjugate_identity_holds,
+    cramer_coefficients,
+    cramer_system,
+    excluded_exponents,
+    system_column,
+    system_determinant,
+)
 
 
-@dataclass(frozen=True)
 class FrameField:
-    kind: str  # coefficient | shifted_coefficient | coordinate | jet_linear
-    label: str
-    field: VectorField
+    """One labelled field of the frame; kind is coefficient,
+    shifted_coefficient, coordinate or jet_linear."""
+
+    def __init__(self, kind: str, label: str, field: VectorField):
+        self.kind = kind
+        self.label = label
+        self.field = field
 
     def apply(self, p: Polynomial) -> Polynomial:
         return self.field.apply(p)
@@ -54,21 +65,55 @@ class FrameField:
     def to_text(self) -> str:
         return f"{self.label}\n{self.field.to_text()}"
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.label})"
+
+
+class CramerField(FrameField):
+    """A coefficient field held as its Cramer data: the slot alpha it moves
+    by the system determinant W, the solved slots of its system M, and the
+    context, whose caches hold W, adj(M) and the column c_alpha
+    (wronskian.system_column).  The certificates read the data
+    (cramer_tangency, analysis.invariance_proved, analysis.span_pattern);
+    the VectorField is built by cramer_coefficients when a caller first
+    reads field, and kept."""
+
+    kind = "coefficient"
+
+    def __init__(self, variant: int, alpha, ctx: JetContext, chart: int | None = None):
+        self.alpha = tuple(alpha)
+        self.solved = cramer_system(variant, self.alpha, ctx, chart)
+        self.variant, self.ctx, self.chart = variant, ctx, chart
+        self.label = f"coeff[v1,chart={chart},a={self.alpha}]" if variant == VARIANT_POWER else f"coeff[v2,a={self.alpha}]"
+
+    @property
+    def slot(self):
+        """a_alpha, the one free slot the field moves."""
+        return self.ctx.coeff_var(self.alpha)
+
+    @property
+    def scale(self) -> Polynomial:
+        """W, the field's direction at a_alpha."""
+        return system_determinant(self.solved, self.ctx)
+
+    @cached_property
+    def field(self) -> VectorField:
+        """W d/da_alpha - B_0 d/da_0 - sum_k B_k d/da_(beta_k)."""
+        coeffs = cramer_coefficients(self.variant, self.alpha, self.ctx, self.chart)
+        directions = {self.slot: coeffs.scale}
+        for slot, bk in zip([(0,) * self.ctx.nvars, *coeffs.solved], coeffs.b):
+            v = self.ctx.coeff_var(slot)
+            directions[v] = directions.get(v, Polynomial.zero()) - bk
+        return VectorField(directions)
+
 
 def coefficient_field(
     variant: int, alpha, ctx: JetContext, chart: int | None = None
-) -> FrameField:
+) -> CramerField:
     """Field scaled by the system determinant in the alpha direction, with the
     solved coefficient slots corrected so that every defining equation is
-    annihilated identically."""
-    alpha = tuple(alpha)
-    coeffs = cramer_coefficients(variant, alpha, ctx, chart)
-    directions = {ctx.coeff_var(alpha): coeffs.scale}
-    solved = [(0,) * ctx.nvars, *coeffs.solved]
-    label = f"coeff[v1,chart={chart},a={alpha}]" if variant == VARIANT_POWER else f"coeff[v2,a={alpha}]"
-    for slot, bk in zip(solved, coeffs.b):
-        directions[ctx.coeff_var(slot)] = directions.get(ctx.coeff_var(slot), Polynomial.zero()) - bk
-    return FrameField(kind="coefficient", label=label, field=VectorField(directions))
+    annihilated identically, held as its Cramer data."""
+    return CramerField(variant, alpha, ctx, chart)
 
 
 def admissible_coefficient_exponents(variant: int, ctx: JetContext, chart: int | None = None):
@@ -400,12 +445,39 @@ def _first_nonzero_image(fields, eqs) -> str | None:
 
 
 @lru_cache(maxsize=None)
+def _columns_are_partials(ctx: JetContext) -> bool:
+    """dE_kappa/da_gamma is the entry of the Cramer systems at row kappa and
+    column gamma, system_column(gamma)[kappa], for every |gamma| <= n and
+    kappa = 0..n (D moves no coefficient, so each should be); one
+    equation's partials are held at a time."""
+    columns = {ctx.coeff_var(gamma): system_column(gamma, ctx) for gamma in _jet_exponents(ctx)}
+    for kappa, eq in enumerate(defining_equations_iterated(ctx)):
+        partials = eq.gradient(columns)
+        if any(partials.get(v, Polynomial.zero()) != column[kappa] for v, column in columns.items()):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
 def cramer_tangency(ctx: JetContext, chart: int, variant: int) -> str | None:
     """The first of one variant's coefficient fields that moves some E_kappa,
-    or None.  A coefficient field moves slots |gamma| <= n, in which
-    E_kappa's partial is D^kappa(z^gamma), so its image of E_kappa is row
-    kappa of its Cramer system."""
-    return _first_nonzero_image(coefficient_fields(ctx, chart, variant), defining_equations_iterated(ctx))
+    or None.  A CramerField X moves a_alpha by W, a_0 by -B_0 and
+    a_(beta_k) by -B_k, B = adj(M) c_alpha, all slots |gamma| <= n.  Where
+    E_kappa's partial in each such slot is the systems' entry
+    (_columns_are_partials, once per context), X(E_kappa) is row kappa of
+    its Cramer system: row 0 is 0 by the definition of B_0, and row
+    kappa >= 1 is ((W I - M adj(M)) c_alpha)_kappa, 0 for every alpha once
+    M adj(M) = W I (adjugate_identity_holds, once per system).  Where a
+    check fails, or a field is not Cramer data, _first_nonzero_image
+    decides on the expanded fields."""
+    fields = coefficient_fields(ctx, chart, variant)
+    if (
+        all(isinstance(f, CramerField) and f.ctx == ctx for f in fields)
+        and _columns_are_partials(ctx)
+        and all(adjugate_identity_holds(solved, ctx) for solved in {f.solved for f in fields})
+    ):
+        return None
+    return _first_nonzero_image(fields, defining_equations_iterated(ctx))
 
 
 class TangencyProof(NamedTuple):

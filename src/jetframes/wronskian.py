@@ -56,13 +56,17 @@ def excluded_exponents(variant: int, ctx: JetContext, chart: int | None = None) 
     return {(0,) * ctx.nvars, *solved_exponents(variant, ctx, chart)}
 
 
+def system_column(beta, ctx: JetContext) -> list:
+    """[D^kappa(z^beta)] for kappa = 0..n: the column of slot beta in every
+    Cramer system, row 0 being the order-0 row z^beta.  The systems, their
+    solutions and the certificates about them read their entries here."""
+    return [monomial_jet_entry(ctx, tuple(beta), kappa) for kappa in range(ctx.n + 1)]
+
+
 def system_matrix(solved: tuple, ctx: JetContext) -> list:
     """Entries D^kappa(z^beta) for rows kappa = 1..n, one column per solved
     slot beta."""
-    return [
-        [monomial_jet_entry(ctx, beta, kappa) for beta in solved]
-        for kappa in range(1, ctx.n + 1)
-    ]
+    return [list(row) for row in zip(*(system_column(beta, ctx)[1:] for beta in solved))]
 
 
 @lru_cache(maxsize=None)
@@ -73,6 +77,20 @@ def system_determinant(solved: tuple, ctx: JetContext) -> Polynomial:
 @lru_cache(maxsize=None)
 def system_adjugate(solved: tuple, ctx: JetContext) -> list:
     return adjugate(system_matrix(solved, ctx))
+
+
+def adjugate_identity_holds(solved: tuple, ctx: JetContext) -> bool:
+    """M adj(M) = W I for the system M over the solved slots, its cached
+    adjugate and its cached determinant W: n^2 dots.  Row kappa >= 1 of the
+    Cramer system of every alpha is then ((W I - M adj(M)) c_alpha)_kappa = 0,
+    c_alpha = [D^kappa(z^alpha)]."""
+    w = system_determinant(solved, ctx)
+    columns = list(zip(*system_adjugate(solved, ctx)))
+    return all(
+        dot(zip(row, column)) == (w if i == j else 0)
+        for i, row in enumerate(system_matrix(solved, ctx))
+        for j, column in enumerate(columns)
+    )
 
 
 def power_wronskian(i: int, ctx: JetContext) -> Polynomial:
@@ -118,6 +136,17 @@ class CramerCoefficients:
     b: tuple
 
 
+def cramer_system(variant: int, alpha, ctx: JetContext, chart: int | None = None) -> tuple:
+    """The solved slots of the Cramer system of the coefficient field
+    attached to alpha, once alpha is checked to be a free slot |alpha| <= n."""
+    alpha = tuple(alpha)
+    if mi_total(alpha) > ctx.n:
+        raise ValueError(f"|alpha| must be <= n, got {alpha}")
+    if alpha in excluded_exponents(variant, ctx, chart):
+        raise ValueError(f"{alpha} indexes a solved coefficient slot")
+    return solved_exponents(variant, ctx, chart)
+
+
 def cramer_coefficients(
     variant: int, alpha, ctx: JetContext, chart: int | None = None
 ) -> CramerCoefficients:
@@ -126,17 +155,12 @@ def cramer_coefficients(
     scale factor in front of the alpha-direction cancels the system
     determinant)."""
     alpha = tuple(alpha)
-    if mi_total(alpha) > ctx.n:
-        raise ValueError(f"|alpha| must be <= n, got {alpha}")
-    if alpha in excluded_exponents(variant, ctx, chart):
-        raise ValueError(f"{alpha} indexes a solved coefficient slot")
-    solved = solved_exponents(variant, ctx, chart)
+    solved = cramer_system(variant, alpha, ctx, chart)
     scale = system_determinant(solved, ctx)
-    za = ctx.monomial_z(alpha)
-    column = [monomial_jet_entry(ctx, alpha, kappa) for kappa in range(1, ctx.n + 1)]
+    za, *column = system_column(alpha, ctx)
     bs = [dot(zip(row, column)) for row in system_adjugate(solved, ctx)]
     # the order-0 row: B_0 + sum_k B_k z^beta_k = scale * z^alpha
-    b0 = dot([(scale, za), *((bk, -ctx.monomial_z(beta)) for bk, beta in zip(bs, solved))])
+    b0 = dot([(scale, za), *((bk, -system_column(beta, ctx)[0]) for bk, beta in zip(bs, solved))])
     return CramerCoefficients(solved=solved, alpha=alpha, scale=scale, b=(b0, *bs))
 
 

@@ -221,23 +221,32 @@ def test_default_run_builds_each_frame_part_once(monkeypatch):
     counted("jet_linear_field", frames.jet_linear_field, lambda linear_map, *rest: (linear_map is None,))
     counted("matrix_partials", frames.matrix_partials)
     counted("coefficient_field", frames.coefficient_field, lambda variant, alpha, *rest: (variant, tuple(alpha)))
+    # a coefficient field is expanded into polynomials only where its
+    # VectorField is read
+    counted("cramer_coefficients", frames.cramer_coefficients, lambda variant, alpha, *rest: (variant, tuple(alpha)))
     caches = (frames.coefficient_fields, frames.variant_free_frame, frames.cramer_tangency)
     for cache in caches:
         cache.cache_clear()
     try:
         assert run(RunConfig(n=2, d=3, trials=2))["ok"]
+        ctx = JetContext(2, 3)
+        assert counts.pop(("jet_linear_field", True)) == 1
+        assert counts.pop(("matrix_partials",)) == 1
+        assert {key[1:]: count for key, count in counts.items() if key[0] == "coefficient_field"} == {
+            (variant, alpha): 1
+            for variant, _ in VARIANTS
+            for alpha in admissible_coefficient_exponents(variant, ctx, 1)
+        }
+        assert not any(key[0] == "cramer_coefficients" for key in counts)
+        # a field read twice is expanded once
+        f = coefficient_fields(ctx, 1, VARIANTS[0][0])[0]
+        assert f.field is f.field
+        assert {key: count for key, count in counts.items() if key[0] == "cramer_coefficients"} == {
+            ("cramer_coefficients", f.variant, f.alpha): 1
+        }
     finally:
         for cache in caches:
             cache.cache_clear()
-    ctx = JetContext(2, 3)
-    assert counts.pop(("jet_linear_field", True)) == 1
-    assert counts.pop(("matrix_partials",)) == 1
-    built = {key[1:]: count for key, count in counts.items()}
-    assert built == {
-        (variant, alpha): 1
-        for variant, _ in VARIANTS
-        for alpha in admissible_coefficient_exponents(variant, ctx, 1)
-    }
 
 
 # SHA-256 of the compact, key-sorted JSON of run(RunConfig(n, d)) with every

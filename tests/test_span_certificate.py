@@ -12,7 +12,6 @@ import jetframes.analysis as analysis
 import jetframes.frames as frames
 import jetframes.wronskian as wronskian
 from jetframes.algebra import (
-    COEFF,
     Polynomial,
     VectorField,
     coord,
@@ -278,6 +277,7 @@ def fresh_frames():
     caches = (
         frames.coefficient_fields,
         frames.variant_free_frame,
+        frames._columns_are_partials,
         frames.cramer_tangency,
         frames.tangency_proof,
     )
@@ -430,12 +430,11 @@ def test_a_default_run_applies_no_coefficient_field_to_an_equation(monkeypatch, 
     monkeypatch.setattr(VectorField, "apply", lambda self, p: applied.append((self, p)) or real(self, p))
     assert run(RunConfig(n=2, d=3))["ok"]
     ctx = JetContext(2, 3)
-    coefficient = {id(f.field) for v, _ in VARIANTS for f in frames.coefficient_fields(ctx, 1, v)}
-    assert applied and coefficient
-    # the invariance brackets apply them to the generators' jet directions,
-    # which hold no coefficient; every E_kappa holds one
-    moved = [p for field, p in applied if id(field) in coefficient]
-    assert all(v[0] != COEFF for p in moved for v in p.variables())
+    # a coefficient field can be applied only once its VectorField is built,
+    # and the run builds none: every verdict on them reads their Cramer data
+    fields = [f for v, _ in VARIANTS for f in frames.coefficient_fields(ctx, 1, v)]
+    assert applied and fields
+    assert not any("field" in vars(f) for f in fields)
 
 
 def test_a_jet_field_moving_e1_fails_the_proof(monkeypatch, fresh_frames):
