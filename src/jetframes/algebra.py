@@ -278,20 +278,7 @@ class Polynomial:
                 return p
             if not isinstance(other, Polynomial):
                 return NotImplemented
-        if not self.terms or not other.terms:
-            return Polynomial()
-        out: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
-                s = out.get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        p = Polynomial()
-        p.terms = {m: _norm_scalar(c) for m, c in out.items()}
-        return p
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 

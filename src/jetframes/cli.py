@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import __version__
 from .algebra import COEFF, JET, iter_terms
 from .analysis import invariance_proved, spanning_check, verify_pole_table
-from .frames import cramer_tangency, enumerate_frame, solve_jet_field_coefficients, tangency_proof
+from .frames import coefficient_fields, cramer_tangency, enumerate_frame, solve_jet_field_coefficients, tangency_proof
 from .jetspace import (
     JetContext,
     defining_equations_iterated,
@@ -26,6 +26,7 @@ from .jetspace import (
     partition_coefficient,
 )
 from .wronskian import (
+    VARIANT_CLASSICAL,
     VARIANTS,
     power_wronskian,
     power_wronskian_closed_form,
@@ -128,8 +129,8 @@ def suite_frames(config: RunConfig) -> tuple[list, dict]:
     ]
     table = solve_jet_field_coefficients(ctx)
     items.append(_bool_item("jet-field blocks all invertible", all(d != 0 for d in table.block_dets.values())))
-    items.append(_bool_item("jet field order-0 tangency divisible by E0", proof.jet_order0))
-    items.append(_bool_item("jet field annihilates higher equations identically", proof.jet_higher))
+    items.append(_bool_item("jet field order-0 tangency divisible by E0", proof.jet_order0 is None))
+    items.append(_bool_item("jet field annihilates higher equations identically", proof.jet_higher is None))
     return items, {}
 
 
@@ -184,7 +185,8 @@ def suite_span(config: RunConfig) -> tuple[list, dict]:
 
 def suite_invariance(config: RunConfig) -> tuple[list, dict]:
     ctx = config.context()
-    frame = enumerate_frame(ctx, chart=config.chart)
+    # variant 2's frame differs from variant 1's in its coefficient fields only
+    frame = [*enumerate_frame(ctx, chart=config.chart), *coefficient_fields(ctx, config.chart, VARIANT_CLASSICAL)]
     moved = next((f for f in frame if not invariance_proved(f, ctx)), None)
     if moved is not None:
         # G_n is connected, so a nonzero bracket means some element moves the field

@@ -390,24 +390,20 @@ def matrix_partials(field: VectorField, size: int) -> dict:
     return {m[1:]: VectorField(directions) for m, directions in parts.items()}
 
 
-class VariantFreeFrame(NamedTuple):
-    """The part of the frame no variant changes, built once per context."""
-
-    symbolic: FrameField  # the jet-linear field with symbolic matrix entries
-    fields: tuple  # canonical shifted, coordinate, then one jet-linear field per E_kl
+def _jet_label(k: int, l: int, size: int) -> str:
+    return f"jet[{_matrix_label(elementary_matrix(k, l, size))}]"
 
 
 @lru_cache(maxsize=None)
-def variant_free_frame(ctx: JetContext) -> VariantFreeFrame:
-    """The symbolic jet-linear field and the frame's variant-free fields."""
+def variant_free_frame(ctx: JetContext) -> tuple:
+    """The frame's variant-free fields: canonical shifted, coordinate, then
+    one jet-linear field per E_kl, built once per context."""
     fields = canonical_shifted_fields(ctx)
     fields += [coordinate_field(i, ctx) for i in range(1, ctx.nvars + 1)]
     # the field is linear in M, so E_kl's field is its derivative in m(k, l)
-    symbolic = jet_linear_field(None, ctx)
-    for (k, l), part in matrix_partials(symbolic.field, ctx.nvars).items():
-        label = f"jet[{_matrix_label(elementary_matrix(k, l, ctx.nvars))}]"
-        fields.append(FrameField(kind="jet_linear", label=label, field=part))
-    return VariantFreeFrame(symbolic, tuple(fields))
+    for (k, l), part in matrix_partials(jet_linear_field(None, ctx).field, ctx.nvars).items():
+        fields.append(FrameField(kind="jet_linear", label=_jet_label(k, l, ctx.nvars), field=part))
+    return tuple(fields)
 
 
 @lru_cache(maxsize=None)
@@ -425,7 +421,7 @@ def enumerate_frame(ctx: JetContext, chart: int = 1, variant: int = VARIANT_POWE
     coordinate field, and one jet-linear field per elementary matrix.  Each
     field is built once (coefficient_fields, variant_free_frame); each call
     returns a new list of the cached fields, which callers must not mutate."""
-    return list(coefficient_fields(ctx, chart, variant) + variant_free_frame(ctx).fields)
+    return list(coefficient_fields(ctx, chart, variant) + variant_free_frame(ctx))
 
 
 def _first_nonzero_image(fields, eqs) -> str | None:
@@ -481,39 +477,44 @@ def cramer_tangency(ctx: JetContext, chart: int, variant: int) -> str | None:
 
 
 class TangencyProof(NamedTuple):
-    """What tangency_proof found, as labels and booleans only."""
+    """What tangency_proof found: per family, the label of its first field
+    that is not tangent, or None."""
 
     coefficient: str | None  # the first failure of cramer_tangency over VARIANTS
     shifted: str | None  # the first shifted field moving some E_kappa
     coordinate: str | None  # the first coordinate field moving some E_kappa
-    jet_order0: bool  # X_M(E_0) = top_factor * E_0, X_M the symbolic jet-linear field
-    jet_higher: bool  # X_M(E_kappa) = 0 for kappa = 1..n
+    jet_order0: str | None  # the first E_kl field whose E_kl(E_0) is not t_kl * E_0
+    jet_higher: str | None  # the first E_kl field moving some E_kappa, kappa >= 1
 
     @property
     def holds(self) -> bool:
         """Every field of every variant's frame on this chart is tangent to
         the vertical jet space at each of its points."""
-        return not (self.coefficient or self.shifted or self.coordinate) and self.jet_order0 and self.jet_higher
+        return all(label is None for label in self)
 
 
 @lru_cache(maxsize=None)
 def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     """Symbolic tangency of the cached frames of one chart, proved once per
-    process.  The coefficient fields of each variant (cramer_tangency), the
-    shifted and coordinate fields and the symbolic field X_M on E_1..E_n
-    are decided by _first_nonzero_image; X_M(E_0) must be top_factor * E_0.
-    The E_kl fields are not checked: each is the derivative of X_M in
-    m(k, l) (variant_free_frame), and no E_kappa contains a matrix entry, so
-    E_kl(E_kappa) is the derivative of X_M(E_kappa) in m(k, l).  That is a
-    multiple of E_0 for kappa = 0 once X_M(E_0) is, and 0 for kappa >= 1
-    once X_M(E_kappa) is 0.  A field that sends E_0 to a multiple of it and
-    E_1..E_n to 0 is tangent at every point of the jet space."""
+    process.  The coefficient fields of each variant are decided by
+    cramer_tangency; the shifted and coordinate fields, and the E_kl fields
+    on E_1..E_n, by _first_nonzero_image.  E_kl(E_0) must be t_kl * E_0,
+    t_kl the m(k, l) part of top_factor, paired with its field by (k, l).
+    A field that sends E_0 to a multiple of it and E_1..E_n to 0 is tangent
+    at every point of the jet space."""
     eqs = defining_equations_iterated(ctx)
-    jet_field, fields = variant_free_frame(ctx)
+    fields = variant_free_frame(ctx)
+    jet_fields = [f for f in fields if f.kind == "jet_linear"]
+    size = range(1, ctx.nvars + 1)
+    labels = {mat(k, l): _jet_label(k, l, ctx.nvars) for k in size for l in size}
+    factors = {labels[m]: t for m, t in _solve_symbolic_table(ctx).top_factor.gradient(labels).items()}
     return TangencyProof(
         coefficient=next(filter(None, (cramer_tangency(ctx, chart, variant) for variant, _ in VARIANTS)), None),
         shifted=_first_nonzero_image([f for f in fields if f.kind == "shifted_coefficient"], eqs),
         coordinate=_first_nonzero_image([f for f in fields if f.kind == "coordinate"], eqs),
-        jet_order0=(jet_field.apply(eqs[0]) - _solve_symbolic_table(ctx).top_factor * eqs[0]).is_zero(),
-        jet_higher=_first_nonzero_image([jet_field], eqs[1:]) is None,
+        jet_order0=next(
+            (f.label for f in jet_fields if f.apply(eqs[0]) != factors.get(f.label, Polynomial.zero()) * eqs[0]),
+            None,
+        ),
+        jet_higher=_first_nonzero_image(jet_fields, eqs[1:]),
     )

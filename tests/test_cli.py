@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -20,7 +22,9 @@ from jetframes.frames import (
     coefficient_field,
     coefficient_fields,
     coordinate_field,
+    elementary_matrix,
     jet_linear_field,
+    matrix_partials,
     variant_free_frame,
 )
 from jetframes.jetspace import JetContext
@@ -196,7 +200,7 @@ def _hand_assembled_families(ctx, chart):
 def test_frames_suite_reads_the_hand_assembled_families(n, d, last_chart):
     ctx = JetContext(n, d)
     chart = ctx.nvars if last_chart else 1
-    fields = variant_free_frame(ctx).fields
+    fields = variant_free_frame(ctx)
     read = (
         [f for variant, _ in VARIANTS for f in coefficient_fields(ctx, chart, variant)],
         [f for f in fields if f.kind == "shifted_coefficient"],
@@ -205,7 +209,12 @@ def test_frames_suite_reads_the_hand_assembled_families(n, d, last_chart):
     for got, want in zip(read, _hand_assembled_families(ctx, chart), strict=True):
         assert [f.label for f in got] == [f.label for f in want]
         assert [f.to_text() for f in got] == [f.to_text() for f in want]
-    assert variant_free_frame(ctx).symbolic.to_text() == jet_linear_field(None, ctx).to_text()
+    # one E_kl field per matrix entry, each the symbolic field's part in m(k, l)
+    parts = matrix_partials(jet_linear_field(None, ctx).field, ctx.nvars)
+    labels = [
+        "jet[" + ";".join(",".join(map(str, row)) for row in elementary_matrix(k, l, ctx.nvars)) + "]" for k, l in parts
+    ]
+    assert [(f.label, f.field) for f in fields if f.kind == "jet_linear"] == list(zip(labels, parts.values()))
 
 
 def test_default_run_builds_each_frame_part_once(monkeypatch):
@@ -218,7 +227,15 @@ def test_default_run_builds_each_frame_part_once(monkeypatch):
 
         monkeypatch.setattr(frames, name, wrapper)
 
-    counted("jet_linear_field", frames.jet_linear_field, lambda linear_map, *rest: (linear_map is None,))
+    symbolic = []
+    real_jet_field = frames.jet_linear_field
+
+    def kept_weakly(*args):
+        f = real_jet_field(*args)
+        symbolic.append(weakref.ref(f))
+        return f
+
+    counted("jet_linear_field", kept_weakly, lambda linear_map, *rest: (linear_map is None,))
     counted("matrix_partials", frames.matrix_partials)
     counted("coefficient_field", frames.coefficient_field, lambda variant, alpha, *rest: (variant, tuple(alpha)))
     # a coefficient field is expanded into polynomials only where its
@@ -232,6 +249,9 @@ def test_default_run_builds_each_frame_part_once(monkeypatch):
         ctx = JetContext(2, 3)
         assert counts.pop(("jet_linear_field", True)) == 1
         assert counts.pop(("matrix_partials",)) == 1
+        # no symbolic field outlives the frame it was split into
+        gc.collect()
+        assert len(symbolic) == 1 and symbolic[0]() is None
         assert {key[1:]: count for key, count in counts.items() if key[0] == "coefficient_field"} == {
             (variant, alpha): 1
             for variant, _ in VARIANTS

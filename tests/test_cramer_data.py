@@ -145,6 +145,26 @@ def test_a_generator_breaking_the_column_identity_is_decided_by_brackets(monkeyp
     ]
 
 
+def test_the_suite_names_a_variant2_coefficient_field_that_is_not_invariant(monkeypatch, fresh_caches):
+    config = RunConfig(n=2, d=3, trials=3, suites=("invariance",))
+    ctx = config.context()
+    real = frames.coefficient_field
+
+    def broken(variant, alpha, ctx, chart=None):
+        f = real(variant, alpha, ctx, chart)
+        if variant == VARIANTS[1][0] and tuple(alpha) == (0, 0, 1):
+            # V_2 = 2 sum_i z_i' d/dz_i'', so [V_2, d/dz_1'] = -2 d/dz_1''
+            return FrameField(f.kind, f.label, VectorField({**f.field.coeffs, jet(1, 1): 1}))
+        return f
+
+    monkeypatch.setattr(frames, "coefficient_field", broken)
+    label = real(VARIANTS[1][0], (0, 0, 1), ctx, config.chart).label
+    items, _ = suite_invariance(config)
+    assert label.startswith("coeff[v2") and items == [
+        {"name": f"frame field {label} invariant under reparametrization", "claimed": "True", "computed": "False", "ok": False}
+    ]
+
+
 @pytest.mark.parametrize("gate", ["W != 0", "V_k(W) = 0", "M adj(M) = W I"])
 def test_a_field_failing_a_system_fact_is_decided_by_brackets(monkeypatch, fresh_caches, gate):
     ctx = JetContext(2, 3)

@@ -437,37 +437,49 @@ def test_a_default_run_applies_no_coefficient_field_to_an_equation(monkeypatch, 
     assert not any("field" in vars(f) for f in fields)
 
 
+def _move_one_jet_field(monkeypatch, ctx, k, l, v, extra) -> str:
+    """Add extra to the v direction of the frame's E_kl field, the symbolic
+    jet-linear field left as it is; the field's label."""
+    real = frames.matrix_partials
+
+    def moved(field, size):
+        parts = real(field, size)
+        part = parts[(k, l)]
+        parts[(k, l)] = VectorField({**part.coeffs, v: part.get(v) + extra})
+        return parts
+
+    monkeypatch.setattr(frames, "matrix_partials", moved)
+    return "jet[" + ";".join(",".join(map(str, row)) for row in frames.elementary_matrix(k, l, ctx.nvars)) + "]"
+
+
+def _frames_failures(config) -> list:
+    (suite,) = run(config)["suites"]
+    return [item["name"] for item in suite["items"] if not item["ok"]]
+
+
 def test_a_jet_field_moving_e1_fails_the_proof(monkeypatch, fresh_frames):
     ctx = JetContext(2, 3)
-    real = frames.variant_free_frame(ctx)
-    # E_1 = sum of z_i' dE_0/dz_i moves under d/dz_1'
-    moved = VectorField({**real.symbolic.field.coeffs, jet(1, 1): real.symbolic.field.get(jet(1, 1)) + 1})
-    mutated = frames.VariantFreeFrame(FrameField("jet_linear", "jet[symbolic]", moved), real.fields)
-    monkeypatch.setattr(frames, "variant_free_frame", lambda ctx: mutated)
+    # E_1 = sum of z_i' dE_0/dz_i moves under d/dz_2'
+    label = _move_one_jet_field(monkeypatch, ctx, 1, 2, jet(2, 1), 1)
     proof = frames.tangency_proof(ctx, 1)
-    assert proof.jet_order0 and not proof.jet_higher and not proof.holds
-    # the frame itself is untouched, so the pointwise product finds it tangent
-    jacobians = _spy(monkeypatch, analysis, "jacobian_matrix_at")
-    assert all(r.ok for r in spanning_check(ctx, chart=1, trials=2, seed=0))
-    assert len(jacobians) == 2
+    assert proof.jet_higher == label and proof.jet_order0 is None and not proof.holds
+    # the cached frame takes the pointwise product, which names the same field
+    results = spanning_check(ctx, chart=1, trials=2, seed=0)
+    assert all(not r.tangent_ok and r.first_offender == label for r in results)
 
 
 @pytest.mark.parametrize("added", ["one", "E_0"])
 def test_a_jet_field_with_a_wrong_order0_image_fails_the_proof(monkeypatch, fresh_frames, added):
     ctx = JetContext(2, 3)
-    real = frames.variant_free_frame(ctx)
-    a0 = ctx.coeff_var((0, 0, 0))
-    # dE_0/da_0 = 1, so X_M(E_0) gains 1 (not a multiple of E_0) or E_0
-    # (a multiple, with top_factor + 1 in place of top_factor); no E_kappa,
-    # kappa >= 1, holds a_0
+    # dE_0/da_0 = 1, so E_21(E_0) gains 1 (not a multiple of E_0) or E_0
+    # (a multiple, by t_21 + 1 in place of t_21); no E_kappa, kappa >= 1,
+    # holds a_0
     extra = 1 if added == "one" else defining_equations_iterated(ctx)[0]
-    moved = VectorField({**real.symbolic.field.coeffs, a0: real.symbolic.field.get(a0) + extra})
-    mutated = frames.VariantFreeFrame(FrameField("jet_linear", "jet[symbolic]", moved), real.fields)
-    monkeypatch.setattr(frames, "variant_free_frame", lambda ctx: mutated)
+    label = _move_one_jet_field(monkeypatch, ctx, 2, 1, ctx.coeff_var((0, 0, 0)), extra)
     proof = frames.tangency_proof(ctx, 1)
-    assert not proof.jet_order0 and proof.jet_higher and not proof.holds
-    items = run(RunConfig(n=2, d=3, suites=("frames",)))["suites"][0]["items"]
-    assert [item["name"] for item in items if not item["ok"]] == ["jet field order-0 tangency divisible by E0"]
+    assert proof.jet_order0 == label and proof.jet_higher is None and not proof.holds
+    config = RunConfig(n=2, d=3, suites=("frames",))
+    assert _frames_failures(config) == ["jet field order-0 tangency divisible by E0"]
 
 
 def test_a_zero_chain_minor_ranks_the_jacobian(monkeypatch):
@@ -490,3 +502,17 @@ def test_a_declining_certificate_builds_the_full_rows(monkeypatch):
     assert spanning_check(ctx, chart=1, trials=3, seed=4) == reference
     assert len(rows) == 3
     assert [len(m) for (m,) in ranks] == [len(enumerate_frame(ctx, 1, VARIANT_POWER))] * 3
+
+
+def test_a_moved_frame_jet_field_is_named_by_the_proof_and_by_span(monkeypatch, fresh_frames):
+    ctx = JetContext(2, 3)
+    # the frame's own E_11 moves E_1; the symbolic field it was split from
+    # does not, so a proof that checked that field would miss it
+    label = _move_one_jet_field(monkeypatch, ctx, 1, 1, jet(1, 1), 1)
+    assert label == "jet[1,0,0;0,0,0;0,0,0]"
+    assert frames.tangency_proof(ctx, 1).jet_higher == label
+    config = RunConfig(n=2, d=3, suites=("frames",))
+    assert _frames_failures(config) == ["jet field annihilates higher equations identically"]
+    cached = spanning_check(ctx, chart=1, trials=2, seed=0)
+    reference = spanning_check(ctx, chart=1, trials=2, seed=0, fields=enumerate_frame(ctx, 1))
+    assert [r.first_offender for r in cached] == [r.first_offender for r in reference] == [label] * 2
