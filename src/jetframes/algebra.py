@@ -510,10 +510,12 @@ def iter_terms(p: Polynomial) -> Iterator[tuple[Monomial, Scalar]]:
 def sum_terms(terms: Iterable[tuple[Iterable[tuple[Variable, int]], Scalar]]) -> Polynomial:
     """The sum of the terms c * prod v^e over (pairs, c) in terms, in canonical
     form; pairs may come in any order, one per variable.  Outside this module,
-    polynomials are built from monomials only here (or by Polynomial.monomial)."""
+    polynomials are built from monomials only here (or by Polynomial.monomial).
+    The sum holds one object per distinct (variable, exponent) pair."""
     out: dict = {}
+    shared: dict = {}
     for pairs, c in terms:
-        mono = _mono(pairs)
+        mono = tuple(sorted(shared.setdefault(pair, pair) for pair in pairs if pair[1]))
         out[mono] = out.get(mono, 0) + c
     return Polynomial(out)
 

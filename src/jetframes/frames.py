@@ -19,6 +19,7 @@ from itertools import combinations_with_replacement, product
 from typing import NamedTuple, Sequence
 
 from .algebra import (
+    LinearSolveError,
     Polynomial,
     VectorField,
     binomial_product,
@@ -270,8 +271,8 @@ def solve_jet_field_coefficients(ctx: JetContext, linear_map=None) -> JetFieldTa
 
     With linear_map=None the matrix entries stay symbolic; every solved
     entry is linear in the matrix entries and of degree <= 2 in the
-    coefficients (see JetFieldTable).  Each block must be
-    uniquely solvable; a singular block is a hard failure."""
+    coefficients (see JetFieldTable).  A singular block has determinant 0
+    in block_dets and no entries."""
     if linear_map is None:
         table = _solve_symbolic_table(ctx)
         return JetFieldTable(ctx, dict(table.entries), table.top_factor, dict(table.block_dets))
@@ -326,7 +327,11 @@ def _solve_symbolic_table(ctx: JetContext) -> JetFieldTable:
             raise RuntimeError(
                 f"block {rho}: {len(rows)} equations for {len(unknowns)} unknowns"
             )
-        _, block_dets[rho], solution = integer_bareiss(rows, rhs)
+        try:
+            _, block_dets[rho], solution = integer_bareiss(rows, rhs)
+        except LinearSolveError:  # a singular block fails its item, its entries left out
+            block_dets[rho] = 0
+            continue
         for beta, val in zip(unknowns, solution):
             alpha = mi_sub(rho, beta)
             if not val.is_zero():

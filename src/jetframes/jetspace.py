@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 from .algebra import (
@@ -163,13 +164,13 @@ def monomial_jet_entry(ctx: JetContext, beta: tuple, kappa: int) -> Polynomial:
 @lru_cache(maxsize=None)
 def universal_polynomial(ctx: JetContext) -> Polynomial:
     """z_1^d + sum of a_alpha z^alpha over all coefficient slots."""
-    p = Polynomial.monomial([(coord(1), ctx.d)], 1)
-    for alpha in ctx.coeff_exponents:
-        p = p + Polynomial.monomial(
-            [(ctx.coeff_var(alpha), 1)] + [(coord(i + 1), e) for i, e in enumerate(alpha) if e],
-            1,
-        )
-    return p
+    return sum_terms(
+        [([(coord(1), ctx.d)], 1)]
+        + [
+            ([(v, 1)] + [(coord(i), e) for i, e in enumerate(alpha, start=1)], 1)
+            for alpha, v in zip(ctx.coeff_exponents, ctx.coeff_vars)
+        ]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -211,53 +212,43 @@ def partition_coefficient(kappa: int, orders: Sequence[int], mults: Sequence[int
     return math.factorial(kappa) // denom
 
 
-@lru_cache(maxsize=None)
 def defining_equations_partition_sum(ctx: JetContext) -> tuple:
     """The same equations assembled from the closed higher-order chain-rule
-    sum over jet-weight partitions; independent of the iterated route."""
-    from itertools import combinations_with_replacement
+    sum over jet-weight partitions; independent of the iterated route.  Not
+    cached: the equations suite compares it once, then drops it."""
+    return (universal_polynomial(ctx),) + tuple(
+        sum_terms(_chain_rule_terms(ctx, kappa)) for kappa in range(1, ctx.n + 1)
+    )
 
-    nvars = ctx.nvars
-    all_alphas = list(ctx.coeff_exponents) + [ctx.normalized_exponent]
-    eqs = [universal_polynomial(ctx)]
-    for kappa in range(1, ctx.n + 1):
-        terms: list = []
-        shapes = jet_weight_partitions(kappa)
-        for alpha in all_alphas:
-            avar = None if alpha == ctx.normalized_exponent else ctx.coeff_var(alpha)
-            support = [j for j in range(1, nvars + 1) if alpha[j - 1] > 0]
-            for orders, mults in shapes:
-                base = partition_coefficient(kappa, orders, mults)
-                # choose a coordinate multiset for each derivative-order block
-                def assign(block: int, counts: tuple, jet_pairs: list, tuple_count: int):
-                    if block == len(orders):
-                        dcoeff = falling_product(alpha, counts)
-                        if dcoeff == 0:
-                            return
-                        rem = mi_sub(alpha, counts)
-                        # the blocks have distinct orders: one pair per jet variable
-                        pairs = [(coord(j), e) for j, e in enumerate(rem, start=1)] + jet_pairs
-                        if avar is not None:
-                            pairs.append((avar, 1))
-                        terms.append((pairs, base * tuple_count * dcoeff))
-                        return
-                    lam, mu = orders[block], mults[block]
-                    for combo in combinations_with_replacement(support, mu):
-                        cnt: dict = {}
-                        for j in combo:
-                            cnt[j] = cnt.get(j, 0) + 1
-                        ways = math.factorial(mu)
-                        for k in cnt.values():
-                            ways //= math.factorial(k)
-                        new_counts = list(counts)
-                        for j, k in cnt.items():
-                            new_counts[j - 1] += k
-                        new_jets = jet_pairs + [(jet(j, lam), k) for j, k in cnt.items()]
-                        assign(block + 1, tuple(new_counts), new_jets, tuple_count * ways)
 
-                assign(0, (0,) * nvars, [], 1)
-        eqs.append(sum_terms(terms))
-    return tuple(eqs)
+def _chain_rule_terms(ctx: JetContext, kappa: int):
+    """The terms (pairs, c) of E_kappa = D^kappa(sum_alpha a_alpha z^alpha),
+    one at a time.  A term picks, for each block of mu derivatives of order
+    lam of a partition, a multiset of the coordinates of z^alpha; c is the
+    partition coefficient times each block's multinomial times the falling
+    product of the picked counts."""
+    shapes = [
+        (orders, mults, partition_coefficient(kappa, orders, mults))
+        for orders, mults in jet_weight_partitions(kappa)
+    ]
+    for alpha in [*ctx.coeff_exponents, ctx.normalized_exponent]:
+        a_pairs = [] if alpha == ctx.normalized_exponent else [(ctx.coeff_var(alpha), 1)]
+        support = [j for j, e in enumerate(alpha, start=1) if e]
+        for orders, mults, base in shapes:
+            for combos in product(*(combinations_with_replacement(support, mu) for mu in mults)):
+                c, counts, jet_pairs = base, [0] * ctx.nvars, []
+                for lam, mu, combo in zip(orders, mults, combos):
+                    # the blocks have distinct orders: one pair per jet variable
+                    c *= math.factorial(mu)
+                    for j in set(combo):
+                        k = combo.count(j)
+                        c //= math.factorial(k)
+                        counts[j - 1] += k
+                        jet_pairs.append((jet(j, lam), k))
+                c *= falling_product(alpha, counts)
+                if c:
+                    rem = mi_sub(alpha, counts)
+                    yield [(coord(j), e) for j, e in enumerate(rem, start=1)] + jet_pairs + a_pairs, c
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import sys
 import weakref
 from collections import Counter
 
@@ -268,6 +269,53 @@ def test_default_run_builds_each_frame_part_once(monkeypatch):
         for cache in caches:
             cache.cache_clear()
 
+
+
+def test_singular_jet_field_block_fails_its_items(capsys, monkeypatch):
+    real_block = frames.jet_field_block
+
+    def duplicated_row(ctx, rho):
+        unknowns, rows, keys = real_block(ctx, rho)
+        if rho == (0, 1, 1):
+            rows = [rows[0]] + rows[:1] + rows[2:]
+        return unknowns, rows, keys
+
+    monkeypatch.setattr(frames, "jet_field_block", duplicated_row)
+    caches = (frames._solve_symbolic_table, frames.variant_free_frame, frames.tangency_proof)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        code = main(["--n", "2", "--d", "3", "--suites", "frames", "--output", "json"])
+        captured = capsys.readouterr()
+        items = {item["name"]: item["ok"] for item in json.loads(captured.out)["suites"][0]["items"]}
+        ctx = JetContext(2, 3)
+        assert frames.solve_jet_field_coefficients(ctx).block_dets[(0, 1, 1)] == 0
+        proof = frames.tangency_proof(ctx, 1)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert code == 1
+    assert "FAIL frames: jet-field blocks all invertible" in captured.err
+    assert not items["jet-field blocks all invertible"]
+    assert not items["jet field order-0 tangency divisible by E0"]
+    assert not items["jet field annihilates higher equations identically"]
+    assert proof.jet_order0.startswith("jet[") and proof.jet_higher.startswith("jet[")
+
+
+def test_default_run_keeps_no_partition_sum_equations(monkeypatch):
+    import jetframes.cli as cli
+
+    built = []
+    real = cli.defining_equations_partition_sum
+    monkeypatch.setattr(cli, "defining_equations_partition_sum", lambda ctx: built.append(real(ctx)) or built[-1])
+    assert run(RunConfig(n=2, d=3))["ok"]
+    gc.collect()
+    # a tuple or a Polynomial takes no weak reference, so count them: `eqs`
+    # alone holds the tuple, and the tuple alone E_1..E_n (E_0 is the cached
+    # universal polynomial); getrefcount's argument adds one to each
+    eqs = built.pop()
+    refs = [sys.getrefcount(eqs)] + [sys.getrefcount(eqs[k]) for k in range(1, len(eqs))]
+    assert not built and refs == [2] * len(eqs)
 
 # SHA-256 of the compact, key-sorted JSON of run(RunConfig(n, d)) with every
 # suite's elapsed_ms dropped: a change to any default report shows here

@@ -252,9 +252,16 @@ def test_partition_coefficients():
 
 
 def test_partition_sum_route_matches_iterated():
-    for n, d in [(1, 2), (2, 3)]:
+    for n, d in [(1, 2), (2, 3), (3, 4), (3, 5)]:
         ctx = JetContext(n, d)
         assert defining_equations_partition_sum(ctx) == defining_equations_iterated(ctx)
+
+
+@pytest.mark.parametrize("ctx", [CTX23, JetContext(3, 4)], ids=["2-3", "3-4"])
+def test_partition_sum_equations_share_their_pairs(ctx):
+    for eq in defining_equations_partition_sum(ctx):
+        pairs = [pair for mono, _ in iter_terms(eq) for pair in mono]
+        assert len({id(pair) for pair in pairs}) == len(set(pairs))
 
 
 @pytest.mark.parametrize("ctx", [JetContext(1, 2), CTX23], ids=["1-2", "2-3"])
