@@ -523,11 +523,15 @@ def sum_terms(terms: Iterable[tuple[Iterable[tuple[Variable, int]], Scalar]]) ->
 def dot(pairs: Iterable[tuple]) -> Polynomial:
     """The sum of p * q over (p, q) in pairs, each a Polynomial or a scalar,
     accumulated into one dictionary (no product or partial sum is built), in
-    canonical form."""
+    canonical form.  An int q scales p's terms, with no monomial product."""
     out: dict = {}
     get = out.get
     for p, q in pairs:
         pt = p.terms if type(p) is Polynomial else _as_poly(p).terms
+        if type(q) is int:
+            for m, c in pt.items():
+                out[m] = get(m, 0) + c * q
+            continue
         qt = q.terms if type(q) is Polynomial else _as_poly(q).terms
         for ma, ca in pt.items():
             for mb, cb in qt.items():
@@ -577,13 +581,11 @@ class VectorField:
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """The commutator [self, other]: direction v gets self(other_v) -
-        other(self_v)."""
-        return VectorField(
-            {
-                v: self.apply(other.get(v)) - other.apply(self.get(v))
-                for v in dict.fromkeys([*self.coeffs, *other.coeffs])
-            }
-        )
+        other(self_v), each field applied only to the other's directions."""
+        directions = {v: -other.apply(c) for v, c in self.coeffs.items()}
+        for v, c in other.coeffs.items():
+            directions[v] = self.apply(c) + directions.get(v, ZERO)
+        return VectorField(directions)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
@@ -698,19 +700,59 @@ def integer_bareiss(
     square of full rank.
 
     Without rhs the solution is None.  With rhs (scalars or polynomials, one
-    per row), the right sides go through the same row operations.  Int right
-    sides stay ints, minors of the augmented matrix, and back substitution
-    gives the solution of matrix * x = rhs in scalars.  Otherwise each row
-    operation and each back-substitution step is one dot, and the solution
-    is in polynomials.
+    per row), right sides never enter the elimination.  Int right sides ride
+    through it as one more int column, and the solution of matrix * x = rhs
+    is in scalars.  Otherwise the identity rides alongside, so back
+    substitution gives G = p A'^-1 in integers (A' the pivot rows, p their
+    determinant; G = adj A for a square A), and each unknown is one
+    int-weighted dot of rhs with its row of G, scaled by 1/p.
     InconsistentSystem is raised when a right side survives on a row that
-    reduced to zero, and UnderdeterminedSystem, after it, when the rank is
-    below the number of unknowns."""
-    rows = [list(row) for row in matrix]
-    b = None if rhs is None else list(rhs)
-    ints = b is not None and all(type(y) is int for y in b)
+    reduced to zero (the dot of that row's identity part with rhs), and
+    UnderdeterminedSystem, after it, when the rank is below the number of
+    unknowns."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    ints = rhs is not None and all(type(y) is int for y in rhs)
+    carried = [[]] * nrows if rhs is None else [[y] for y in rhs] if ints else _identity(nrows)
+    rank, pivot, rows = _eliminate(matrix, carried)
+    det = pivot if rank == nrows == ncols else 0
+    if rhs is None:
+        return rank, det, None
+    for r in range(rank, nrows):
+        reduced = rows[r][ncols] if ints else dot(zip(rhs, rows[r][ncols:]))
+        if reduced != 0:
+            raise InconsistentSystem(f"row {r} reduces to 0 = {_as_poly(reduced).to_text()}")
+    if rank < ncols:
+        raise UnderdeterminedSystem(f"rank {rank} < {ncols} unknowns: solution not unique")
+    weights = _back_substitute(rows, ncols, pivot)
+    if ints:
+        return rank, det, [Fraction(w[0], pivot) for w in weights]
+    return rank, det, [dot((y, c) for y, c in zip(rhs, w) if c) * Fraction(1, pivot) for w in weights]
+
+
+def integer_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list | None]:
+    """(det, adj) of a square integer matrix, by the elimination of
+    integer_bareiss with the identity alongside: A adj = adj A = det I, so
+    A x = b has the solution adj b / det.  adj is None when det is 0."""
+    _require_square(matrix)
+    rank, pivot, rows = _eliminate(matrix, _identity(len(matrix)))
+    if rank < len(matrix):
+        return 0, None
+    return pivot, _back_substitute(rows, rank, pivot)
+
+
+def _identity(size: int) -> list:
+    return [[int(i == r) for i in range(size)] for r in range(size)]
+
+
+def _eliminate(matrix: Sequence[Sequence[int]], carried: Sequence[Sequence[int]]) -> tuple[int, int, list]:
+    """The one elimination loop: (rank, p, rows) of [matrix | carried] after
+    eliminating matrix's columns, the carried columns taking the same row
+    operations, so every entry stays an integer minor.  Row r < rank has its
+    pivot in column r; p is the determinant of the pivot rows' square part."""
+    rows = [[*row, *extra] for row, extra in zip(matrix, carried)]
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    ncols = len(matrix[0]) if nrows else 0
     sign = 1
     prev = 1
     rank = 0
@@ -724,8 +766,6 @@ def integer_bareiss(
         i, j = pivot_at
         if i != r:
             rows[r], rows[i] = rows[i], rows[r]
-            if b is not None:
-                b[r], b[i] = b[i], b[r]
             sign = -sign
         if j != r:  # column r is zero from row r down: the matrix has rank < ncols
             for row in rows:
@@ -737,34 +777,24 @@ def integer_bareiss(
             f = row[r]
             row[r + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[r + 1:], top[r + 1:])]
             row[r] = 0
-            if ints:
-                b[i] = (b[i] * pivot - b[r] * f) // prev
-            elif b is not None:
-                b[i] = dot(((b[i], Fraction(pivot, prev)), (b[r], Fraction(-f, prev))))
         prev = pivot
         rank += 1
-    det = sign * prev if rank == nrows == ncols else 0
-    if b is None:
-        return rank, det, None
-    for r in range(rank, nrows):
-        if b[r] != 0:
-            raise InconsistentSystem(f"row {r} reduces to 0 = {_as_poly(b[r]).to_text()}")
-    if rank < ncols:
-        raise UnderdeterminedSystem(f"rank {rank} < {ncols} unknowns: solution not unique")
-    # rank == ncols, so no column was swapped: row r has its pivot in column r
-    x: list = [0] * ncols
+    return rank, sign * prev, rows
+
+
+def _back_substitute(rows: list, ncols: int, p: int) -> list:
+    """p U^-1 L for eliminated rows [U | L] of full column rank: row k holds
+    unknown k's weights on the carried columns.  Every division is exact,
+    since p U^-1 L = p A'^-1 (in the pivot rows) is a matrix of cofactors."""
+    weights: list = [None] * ncols
     for r in range(ncols - 1, -1, -1):
         row = rows[r]
-        if ints:
-            acc = b[r]
-            for j in range(r + 1, ncols):
-                if row[j]:
-                    acc = acc - x[j] * row[j]
-            x[r] = acc * Fraction(1, row[r])
-        else:
-            done = [(x[j], Fraction(-row[j], row[r])) for j in range(r + 1, ncols) if row[j]]
-            x[r] = dot([(b[r], Fraction(1, row[r])), *done])
-    return rank, det, x
+        acc = [p * y for y in row[ncols:]]
+        for j in range(r + 1, ncols):
+            if row[j]:
+                acc = [a - row[j] * w for a, w in zip(acc, weights[j])]
+        weights[r] = [a // row[r] for a in acc]
+    return weights
 
 
 def _integer_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -856,8 +886,8 @@ def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence):
 
     Matrix entries must be rational scalars (constant polynomials accepted);
     right-hand entries may be scalars or polynomials.  Each row and its right
-    side are scaled to integers, then one integer Bareiss elimination carries
-    both.  Raises InconsistentSystem / UnderdeterminedSystem instead of
+    side are scaled to integers, then integer_bareiss solves the integer
+    system.  Raises InconsistentSystem / UnderdeterminedSystem instead of
     approximating.
     """
     b = [_as_poly(x) for x in rhs]

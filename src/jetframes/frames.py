@@ -19,16 +19,15 @@ from itertools import combinations_with_replacement, product
 from typing import NamedTuple, Sequence
 
 from .algebra import (
-    LinearSolveError,
     Polynomial,
     VectorField,
     binomial_product,
+    coeff,
     coord,
     dot,
     enumerate_exponents,
     falling_product,
-    integer_bareiss,
-    iter_terms,
+    integer_adjugate,
     jet,
     mat,
     mi_leq,
@@ -260,8 +259,9 @@ def _remainder(rho, js, ctx: JetContext) -> Polynomial:
             c = falling_product(gamma_t, _counts(replaced, nvars))
             if c == 0:
                 continue
-            # c * a_gamma * m(l, jm)
-            terms.extend(((*mono, (mat(l, jm), 1)), c * k) for mono, k in iter_terms(ctx.coeff_poly(gamma_t)))
+            # c * a_gamma * m(l, jm), a_gamma = 1 on the normalized slot
+            entry = (mat(l, jm), 1)
+            terms.append(((entry,) if gamma_t == ctx.normalized_exponent else ((coeff(gamma_t), 1), entry), c))
     return sum_terms(terms)
 
 
@@ -279,11 +279,18 @@ def solve_jet_field_coefficients(ctx: JetContext, linear_map=None) -> JetFieldTa
     return _solve_symbolic_table(ctx).substitute_matrix(linear_map)
 
 
+@lru_cache(maxsize=None)
+def _derivative_multisets(ctx: JetContext) -> tuple:
+    """Each multiset js of 1..n derivative directions, with its counts."""
+    size = range(1, ctx.nvars + 1)
+    multisets = (js for e in range(1, ctx.n + 1) for js in combinations_with_replacement(size, e))
+    return tuple((js, _counts(js, ctx.nvars)) for js in multisets)
+
+
 def jet_field_block(ctx: JetContext, rho) -> tuple[list, list, list]:
     """The square integer block of the jet-field system at total index rho:
     its unknowns beta, one row per equation, and each row's multiset js of
     derivative directions (None for the order-0 equation)."""
-    nvars = ctx.nvars
     unknowns = [
         beta
         for beta in _jet_exponents(ctx)
@@ -296,12 +303,10 @@ def jet_field_block(ctx: JetContext, rho) -> tuple[list, list, list]:
     if rho[0] < ctx.d:
         rows.append([1] * len(unknowns))
         keys.append(None)
-    for e in range(1, ctx.n + 1):
-        for js in combinations_with_replacement(range(1, nvars + 1), e):
-            sigma = _counts(js, nvars)
-            if not mi_leq(sigma, rho):
-                continue
-            rows.append([falling_product(mi_sub(rho, beta), sigma) for beta in unknowns])
+    shifts = [mi_sub(rho, beta) for beta in unknowns]
+    for js, sigma in _derivative_multisets(ctx):
+        if mi_leq(sigma, rho):
+            rows.append([falling_product(shift, sigma) for shift in shifts])
             keys.append(js)
     return unknowns, rows, keys
 
@@ -312,35 +317,27 @@ def _solve_symbolic_table(ctx: JetContext) -> JetFieldTable:
     entries: dict = {}
     block_dets: dict = {}
     top_factor = Polynomial.zero()
+    adjugate_of = lru_cache(maxsize=None)(integer_adjugate)  # each distinct block eliminated once per call
 
-    rhos = [top_rho, *ctx.coeff_exponents]
-    for rho in rhos:
+    for rho in [top_rho, *ctx.coeff_exponents]:
         unknowns, rows, keys = jet_field_block(ctx, rho)
         if not unknowns:
             continue
-        # the order-0 equation has top_factor moved to the right-hand side
-        rhs = [
-            ctx.coeff_poly(rho) * top_factor if js is None else -_remainder(rho, js, ctx)
-            for js in keys
-        ]
         if len(rows) != len(unknowns):
             raise RuntimeError(
                 f"block {rho}: {len(rows)} equations for {len(unknowns)} unknowns"
             )
-        try:
-            _, block_dets[rho], solution = integer_bareiss(rows, rhs)
-        except LinearSolveError:  # a singular block fails its item, its entries left out
-            block_dets[rho] = 0
+        block_dets[rho], adj = adjugate_of(tuple(map(tuple, rows)))
+        if adj is None:  # a singular block fails its item, its entries left out
             continue
+        # the order-0 equation has top_factor moved to the right-hand side
+        rhs = [ctx.coeff_poly(rho) * top_factor if js is None else -_remainder(rho, js, ctx) for js in keys]
+        solution = [dot((y, w) for y, w in zip(rhs, weights) if w) * Fraction(1, block_dets[rho]) for weights in adj]
         for beta, val in zip(unknowns, solution):
-            alpha = mi_sub(rho, beta)
             if not val.is_zero():
-                entries[(alpha, beta)] = val
+                entries[(mi_sub(rho, beta), beta)] = val
         if rho == top_rho:
-            top_factor = Polynomial.zero()
-            for beta in unknowns:
-                alpha = mi_sub(rho, beta)
-                top_factor = top_factor + entries.get((alpha, beta), Polynomial.zero())
+            top_factor = sum(solution, Polynomial.zero())
     return JetFieldTable(ctx, entries, top_factor, block_dets)
 
 
@@ -439,10 +436,15 @@ def _first_nonzero_image(fields, eqs) -> str | None:
     for eq in eqs:
         grad = eq.gradient(moved)  # one equation's partials at a time
         for i, f in enumerate(fields[:first]):
-            if not dot((c, grad[v]) for v, c in f.field.items() if v in grad).is_zero():
+            if not _image(f.field, grad).is_zero():
                 first = i  # only a field before it can still be named
                 break
     return fields[first].label if first < len(fields) else None
+
+
+def _image(field: VectorField, grad: dict) -> Polynomial:
+    """X(E) = sum_v X[v] dE/dv, grad holding E's partials."""
+    return dot((c, grad[v]) for v, c in field.items() if v in grad)
 
 
 @lru_cache(maxsize=None)
@@ -513,12 +515,13 @@ def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     size = range(1, ctx.nvars + 1)
     labels = {mat(k, l): _jet_label(k, l, ctx.nvars) for k in size for l in size}
     factors = {labels[m]: t for m, t in _solve_symbolic_table(ctx).top_factor.gradient(labels).items()}
+    grad0 = eqs[0].gradient({v for f in jet_fields for v, _ in f.field.items()})
     return TangencyProof(
         coefficient=next(filter(None, (cramer_tangency(ctx, chart, variant) for variant, _ in VARIANTS)), None),
         shifted=_first_nonzero_image([f for f in fields if f.kind == "shifted_coefficient"], eqs),
         coordinate=_first_nonzero_image([f for f in fields if f.kind == "coordinate"], eqs),
         jet_order0=next(
-            (f.label for f in jet_fields if f.apply(eqs[0]) != factors.get(f.label, Polynomial.zero()) * eqs[0]),
+            (f.label for f in jet_fields if _image(f.field, grad0) != factors.get(f.label, Polynomial.zero()) * eqs[0]),
             None,
         ),
         jet_higher=_first_nonzero_image(jet_fields, eqs[1:]),

@@ -14,8 +14,10 @@ from jetframes.algebra import (
     COORD,
     JET,
     InconsistentSystem,
+    LinearSolveError,
     Polynomial,
     UnderdeterminedSystem,
+    VectorField,
     _as_poly,
     _require_square,
     binomial_product,
@@ -27,6 +29,7 @@ from jetframes.algebra import (
     mi_sub,
     rank_rational,
 )
+from jetframes.frames import jet_field_block
 from jetframes.jetspace import JetContext, JetPoint, jacobian_matrix_at, total_derivative
 
 
@@ -254,3 +257,39 @@ def remainder_by_products(rho, js: tuple, ctx: JetContext) -> Polynomial:
             if c:
                 total = total + c * ctx.coeff_poly(gamma) * Polynomial.var(mat(l, jm))
     return total
+
+
+def jet_field_table_by_products(ctx: JetContext) -> tuple:
+    """(entries, top_factor, block_dets) of the jet-field table, every block
+    eliminated on its own by integer_bareiss_by_products with
+    remainder_by_products right sides: the reference for
+    frames._solve_symbolic_table.  A singular block has determinant 0 and no
+    entries."""
+    entries: dict = {}
+    block_dets: dict = {}
+    top_factor = Polynomial.zero()
+    for rho in (ctx.normalized_exponent, *ctx.coeff_exponents):
+        unknowns, rows, keys = jet_field_block(ctx, rho)
+        if not unknowns:
+            continue
+        rhs = [ctx.coeff_poly(rho) * top_factor if js is None else -remainder_by_products(rho, js, ctx) for js in keys]
+        try:
+            _, block_dets[rho], solution = integer_bareiss_by_products(rows, rhs)
+        except LinearSolveError:
+            block_dets[rho] = 0
+            continue
+        for beta, val in zip(unknowns, solution):
+            if not val.is_zero():
+                entries[(mi_sub(rho, beta), beta)] = val
+        if rho == ctx.normalized_exponent:
+            top_factor = sum(solution, Polynomial.zero())
+    return entries, top_factor, block_dets
+
+
+def bracket_on_every_direction(x: VectorField, y: VectorField) -> VectorField:
+    """[x, y] with each field applied to every direction either field moves,
+    a direction the other lacks as the zero polynomial: the reference for
+    VectorField.bracket."""
+    return VectorField(
+        {v: x.apply(y.get(v)) - y.apply(x.get(v)) for v in dict.fromkeys([*x.coeffs, *y.coeffs])}
+    )

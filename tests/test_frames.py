@@ -49,7 +49,7 @@ from jetframes.wronskian import (
     cramer_system_residuals,
 )
 
-from reference_helpers import shift_split_identity
+from reference_helpers import jet_field_table_by_products, shift_split_identity
 
 CTX23 = JetContext(2, 3)
 CTX34 = JetContext(3, 4)
@@ -345,6 +345,32 @@ def test_jet_field_table_eliminates_each_block_once(monkeypatch):
     assert fresh.entries == cached.entries
     assert fresh.top_factor == cached.top_factor
     assert fresh.block_dets == cached.block_dets
+
+
+@pytest.mark.parametrize("nd", [(1, 2), (2, 3), (3, 4)])
+def test_jet_field_table_matches_the_block_by_block_product_solve(nd):
+    ctx = JetContext(*nd)
+    table = solve_jet_field_coefficients(ctx)
+    entries, top_factor, block_dets = jet_field_table_by_products(ctx)
+    assert table.entries == entries
+    assert table.top_factor == top_factor and not top_factor.is_zero()
+    assert table.block_dets == block_dets
+
+
+def test_the_34_table_eliminates_each_distinct_block_once(monkeypatch):
+    from jetframes import frames
+
+    eliminated = []
+    for name in ("integer_bareiss", "integer_adjugate"):
+        real = getattr(frames, name, None)
+        if real is not None:
+            spy = lambda matrix, *rest, real=real: eliminated.append(tuple(map(tuple, matrix))) or real(matrix, *rest)
+            monkeypatch.setattr(frames, name, spy)
+    fresh = frames._solve_symbolic_table.__wrapped__(CTX34)
+    blocks = [jet_field_block(CTX34, rho)[1] for rho in fresh.block_dets]
+    assert len(blocks) == 70
+    assert len({tuple(map(tuple, rows)) for rows in blocks}) == 17
+    assert len(eliminated) == len(set(eliminated)) == 17
 
 
 def test_jet_block_determinants_nonzero_at_35():

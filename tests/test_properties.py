@@ -25,6 +25,7 @@ from jetframes.algebra import (  # noqa: E402
     determinant,
     dot,
     enumerate_exponents,
+    integer_adjugate,
     integer_bareiss,
     iter_terms,
     jet,
@@ -40,6 +41,7 @@ from jetframes.jetspace import JetContext, JetPoint, chain_matrix, monomial_seri
 from jetframes.wronskian import VARIANT_POWER  # noqa: E402
 
 from reference_helpers import (  # noqa: E402
+    bracket_on_every_direction,
     det_cofactor,
     integer_bareiss_by_products,
     jacobian_values_at,
@@ -111,8 +113,11 @@ operands = st.one_of(polynomials, scalars, st.integers(min_value=-6, max_value=6
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(operands, operands), max_size=5))
+@given(st.lists(st.tuples(operands, operands | st.integers(min_value=-6, max_value=6)), max_size=5))
 @example([])
+@example([(Polynomial.var(coord(1), 1, Fraction(1, 2)), 2)]).via("an int weight clearing a Fraction")
+@example([(Polynomial.var(coord(1), 1, Fraction(1, 3)), 3), (Polynomial.var(coord(1)), -1)]).via("int weights cancelling")
+@example([(Fraction(2, 3), 0), (Polynomial.var(jet(1, 1)), 0)]).via("zero int weights")
 def test_dot_is_the_sum_of_products(pairs):
     total = dot(iter(pairs))
     assert type(total) is Polynomial and _canonical(total)
@@ -215,6 +220,21 @@ def test_bracket_is_the_commutator_of_derivations(x, y, p):
     assert x.bracket(y).apply(p) == x.apply(y.apply(p)) - y.apply(x.apply(p))
 
 
+# two fields over disjoint variables: neither moves what the other holds
+disjoint_fields = st.tuples(
+    st.dictionaries(st.sampled_from(VARIABLES[:3]), polynomials.filter(lambda p: p.variables() <= set(VARIABLES[:3])), max_size=3),
+    st.dictionaries(st.sampled_from(VARIABLES[3:]), polynomials.filter(lambda p: p.variables() <= set(VARIABLES[3:])), max_size=3),
+).map(lambda pair: tuple(map(VectorField, pair)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(fields, fields) | disjoint_fields)
+def test_bracket_applies_each_field_only_where_the_other_moves(pair):
+    x, y = pair
+    assert x.bracket(y) == bracket_on_every_direction(x, y)
+    assert y.bracket(x) == bracket_on_every_direction(y, x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(fields, fields)
 def test_bracket_is_antisymmetric(x, y):
@@ -283,6 +303,30 @@ def test_scalar_right_sides_solve_as_polynomial_ones(system):
     assert all(isinstance(xi, (int, Fraction)) for xi in x)
     assert x == expected
     assert [sum(c * xi for c, xi in zip(row, x)) for row in a] == b
+
+
+square_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=k, max_size=k), min_size=k, max_size=k)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices)
+@example([[0]]).via("zero 1 x 1")
+@example([[1, 2], [2, 4]]).via("rank 1")
+@example([[0, 1, 2], [0, 3, 4], [0, 5, 6]]).via("a zero column")
+@example([[0, 2], [3, 1]]).via("a row swap")
+def test_integer_adjugate_is_the_determinant_times_the_inverse(a):
+    det, adj = integer_adjugate(a)
+    assert det == det_cofactor(a).constant_value()
+    if det == 0:
+        assert adj is None
+        return
+    size = range(len(a))
+    scalar = [[det * (i == j) for j in size] for i in size]
+    assert [[sum(a[i][r] * adj[r][j] for r in size) for j in size] for i in size] == scalar
+    assert [[sum(adj[i][r] * a[r][j] for r in size) for j in size] for i in size] == scalar
+    assert all(type(x) is int for row in adj for x in row)
 
 
 @st.composite

@@ -12,6 +12,7 @@ import jetframes.analysis as analysis
 import jetframes.frames as frames
 import jetframes.wronskian as wronskian
 from jetframes.algebra import (
+    COEFF,
     Polynomial,
     VectorField,
     coord,
@@ -480,6 +481,20 @@ def test_a_jet_field_with_a_wrong_order0_image_fails_the_proof(monkeypatch, fres
     assert proof.jet_order0 == label and proof.jet_higher is None and not proof.holds
     config = RunConfig(n=2, d=3, suites=("frames",))
     assert _frames_failures(config) == ["jet field order-0 tangency divisible by E0"]
+
+
+@pytest.mark.parametrize("nd, kl", [((2, 3), (1, 1)), ((2, 3), (3, 2)), ((3, 4), (2, 3))])
+@pytest.mark.parametrize("perturbed", ["doubled", "plus z_1"])
+def test_a_perturbed_coefficient_direction_is_named_by_jet_order0(monkeypatch, fresh_frames, nd, kl, perturbed):
+    ctx = JetContext(*nd)
+    part = next(f for f in frames.variant_free_frame(ctx) if f.label == frames._jet_label(*kl, ctx.nvars))
+    # E_0 is linear in the coefficients, so E_kl(E_0) moves by extra * z^gamma
+    v, direction = next((v, c) for v, c in part.field.items() if v[0] == COEFF)
+    frames.variant_free_frame.cache_clear()
+    extra = direction if perturbed == "doubled" else Polynomial.var(coord(1))
+    label = _move_one_jet_field(monkeypatch, ctx, *kl, v, extra)
+    assert label == part.label
+    assert frames.tangency_proof(ctx, 1).jet_order0 == label
 
 
 def test_a_zero_chain_minor_ranks_the_jacobian(monkeypatch):
