@@ -581,10 +581,14 @@ class VectorField:
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """The commutator [self, other]: direction v gets self(other_v) -
-        other(self_v), each field applied only to the other's directions."""
-        directions = {v: -other.apply(c) for v, c in self.coeffs.items()}
+        other(self_v), each field applied only to the other's directions that
+        share a variable with it (it sends every other one to 0)."""
+        directions = {
+            v: -other.apply(c) for v, c in self.coeffs.items() if not c.variables().isdisjoint(other.coeffs)
+        }
         for v, c in other.coeffs.items():
-            directions[v] = self.apply(c) + directions.get(v, ZERO)
+            if not c.variables().isdisjoint(self.coeffs):
+                directions[v] = self.apply(c) + directions.get(v, ZERO)
         return VectorField(directions)
 
     def __eq__(self, other) -> bool:

@@ -7,6 +7,10 @@ weight(z_i^(lam)) = lam + 1.  For a single monomial this equals the reduced
 denominator exponent of the chart change, while multi-term objects may cancel
 below it (the report records both numbers); the tests check both against an
 independent chart-change oracle.
+
+The reparametrization action on jets is Faa di Bruno's formula, summed over
+the same jet-weight partitions as the equations' chain-rule route; the Lie
+generators of G_n are read off its linear terms.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ from .jetspace import (
     chain_matrix,
     first_jets_all_zero,
     jacobian_matrix_at,
+    jet_weight_partitions,
     monomial_series,
+    partition_coefficient,
     sample_vertical_jet,
     total_derivative,
 )
@@ -242,34 +248,21 @@ class ReparamJet:
 
 
 @lru_cache(maxsize=None)
-def _action_coefficient_polys(n: int) -> tuple:
-    """Row lam gives the transformed jet of order lam as a jet-linear
-    polynomial with reparametrization-derivative coefficients, generated by
-    iterating the formal parameter derivative on w' = z' phi'.  That
-    derivation sends z^(k) to z^(k+1) phi' and phi^(k) to phi^(k+1)."""
-    phi1 = Polynomial.var(phi(1))
-    derivation = VectorField(
-        {
-            **{jet(1, k): Polynomial.var(jet(1, k + 1)) * phi1 for k in range(1, n)},
-            **{phi(k): Polynomial.var(phi(k + 1)) for k in range(1, n)},
-        }
-    )
-    rows = [Polynomial.var(jet(1, 1)) * phi1]
-    for _ in range(n - 1):
-        rows.append(derivation.apply(rows[-1]))
-    return tuple(rows)
-
-
-def action_coefficients_symbolic(n: int) -> list:
+def action_coefficients_symbolic(n: int) -> tuple:
     """c[lam][m] as polynomials in the reparametrization derivatives, with
-    phi' already set to 1: w^(lam) = sum_m c[lam][m] z^(m)."""
-    rows = _action_coefficient_polys(n)
+    phi' = 1: w^(lam) = sum_m c[lam][m] z^(m) for w = z o phi.  By Faa di
+    Bruno's formula c[lam][m] is the partial Bell polynomial, a sum over the
+    partitions of lam into m parts, each with mu parts of order l adding
+    lam! / prod((l!)^mu mu!) prod_(l >= 2) (phi^(l))^mu."""
     out = [[None] * (n + 1) for _ in range(n + 1)]
-    for lam, poly in enumerate(rows, start=1):
-        anchored = poly.subs({phi(1): Polynomial.const(1)})
-        for m in range(1, lam + 1):
-            out[lam][m] = anchored.diff(jet(1, m))
-    return out
+    for lam in range(1, n + 1):
+        terms = {m: [] for m in range(1, lam + 1)}
+        for orders, mults in jet_weight_partitions(lam):
+            pairs = [(phi(l), mu) for l, mu in zip(orders, mults) if l > 1]
+            terms[sum(mults)].append((pairs, partition_coefficient(lam, orders, mults)))
+        for m, parts in terms.items():
+            out[lam][m] = sum_terms(parts)
+    return tuple(map(tuple, out))
 
 
 def action_matrix(rj: ReparamJet) -> list:
@@ -291,17 +284,15 @@ def reparam_generators(ctx: JetContext) -> tuple:
     the identity (empty for n = 1, where G_n is trivial).  They come from the
     same action_coefficients_symbolic as action_matrix: phi^(k)(0) = k! eps
     along the flow, so V_k moves z_i^(lam) by k! times the derivative of
-    c[lam][m] in phi^(k) at the identity, times z_i^(m), summed over m."""
+    c[lam][m] in phi^(k) at the identity, its phi^(k)-linear coefficient,
+    times z_i^(m), summed over m."""
     sym = action_coefficients_symbolic(ctx.n)
-    identity = {phi(k): 0 for k in range(2, ctx.n + 1)}
     generators = []
     for k in range(2, ctx.n + 1):
         coeffs = {}
+        linear = [(phi(k), 1)]
         for lam in range(1, ctx.n + 1):
-            rates = [
-                (m, math.factorial(k) * sym[lam][m].diff(phi(k)).subs(identity).constant_value())
-                for m in range(1, lam + 1)
-            ]
+            rates = [(m, math.factorial(k) * sym[lam][m].coefficient(linear)) for m in range(1, lam + 1)]
             for i in range(1, ctx.nvars + 1):
                 coeffs[jet(i, lam)] = sum_terms((((jet(i, m), 1),), rate) for m, rate in rates)
         generators.append(VectorField(coeffs))

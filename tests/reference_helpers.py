@@ -3,7 +3,8 @@ and its rank over Q, cofactor determinants, polynomial divisibility, the
 chart-change oracle and its per-monomial order, iterated total derivatives,
 the rank of the jet matrix, the split identity behind the shifted
 coefficient fields, and the product-built forms of integer Bareiss with
-polynomial right sides and of the jet-field remainders."""
+polynomial right sides and of the jet-field remainders, and the
+reparametrization action derived by iterating the parameter derivative."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +28,7 @@ from jetframes.algebra import (
     jet,
     mat,
     mi_sub,
+    phi,
     rank_rational,
 )
 from jetframes.frames import jet_field_block
@@ -293,3 +295,26 @@ def bracket_on_every_direction(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(
         {v: x.apply(y.get(v)) - y.apply(x.get(v)) for v in dict.fromkeys([*x.coeffs, *y.coeffs])}
     )
+
+
+def action_coefficients_by_derivation(n: int) -> list:
+    """c[lam][m] with phi' = 1, derived without Faa di Bruno's formula: the
+    transformed jet w^(lam) of w = z o phi comes from iterating the formal
+    parameter derivative on w' = z' phi', which sends z^(k) to z^(k+1) phi'
+    and phi^(k) to phi^(k+1); c[lam][m] is its derivative in z^(m).  The
+    reference for analysis.action_coefficients_symbolic."""
+    phi1 = Polynomial.var(phi(1))
+    derivation = VectorField(
+        {
+            **{jet(1, k): Polynomial.var(jet(1, k + 1)) * phi1 for k in range(1, n)},
+            **{phi(k): Polynomial.var(phi(k + 1)) for k in range(1, n)},
+        }
+    )
+    row = Polynomial.var(jet(1, 1)) * phi1
+    out = [[None] * (n + 1) for _ in range(n + 1)]
+    for lam in range(1, n + 1):
+        anchored = row.subs({phi(1): Polynomial.const(1)})
+        for m in range(1, lam + 1):
+            out[lam][m] = anchored.diff(jet(1, m))
+        row = derivation.apply(row)
+    return out

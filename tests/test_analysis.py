@@ -41,7 +41,12 @@ from jetframes.wronskian import (
     power_wronskian,
 )
 
-from reference_helpers import chart_change_oracle, chart_transfer_pairs, monomial_oracle_order
+from reference_helpers import (
+    action_coefficients_by_derivation,
+    chart_change_oracle,
+    chart_transfer_pairs,
+    monomial_oracle_order,
+)
 from reparam_helpers import inverse_jet, reparam_action, reparam_point, reparam_polynomial
 
 CTX23 = JetContext(2, 3)
@@ -354,6 +359,12 @@ def test_action_coefficients_match_displayed_orders():
     assert sym[3][3] == Polynomial.const(1)
     assert sym[3][2] == 3 * Polynomial.var((4, 2))  # 3 phi''
     assert sym[3][1] == Polynomial.var((4, 3))  # phi'''
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_action_coefficients_are_the_derived_ones(n):
+    # Faa di Bruno's partition sum against the iterated parameter derivative
+    assert list(map(list, action_coefficients_symbolic(n))) == action_coefficients_by_derivation(n)
 
 
 def test_identity_jet_acts_trivially():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from jetframes import analysis, cli
+from jetframes import algebra, analysis, cli, frames, jetspace, wronskian
 from jetframes.algebra import Polynomial, VectorField, jet
 from jetframes.analysis import (
     ReparamJet,
@@ -14,10 +14,11 @@ from jetframes.analysis import (
     invariance_proved,
     reparam_generators,
 )
-from jetframes.cli import RunConfig, suite_invariance
+from jetframes.cli import RunConfig, run, suite_invariance
 from jetframes.frames import FrameField, enumerate_frame
 from jetframes.jetspace import JetContext
 from jetframes.wronskian import VARIANTS
+from reference_helpers import bracket_on_every_direction
 
 BARE = FrameField(kind="coordinate", label="bare d/dz1'", field=VectorField({jet(1, 1): 1}))
 
@@ -49,11 +50,57 @@ def reference_items(config: RunConfig, frame) -> list:
     return items
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_generators_equal_the_closed_form(n):
     ctx = JetContext(n, n + 1)
     generators = reparam_generators(ctx)
     assert generators == tuple(closed_form_generator(k, ctx) for k in range(2, n + 1))
+
+
+def _clear_every_cache():
+    for module in (algebra, jetspace, wronskian, frames, analysis, cli):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 4)])
+def test_a_fresh_default_run_neither_substitutes_nor_differentiates(monkeypatch, n, d):
+    # the generators are read off the linear terms of the action, so no
+    # polynomial is substituted into or differentiated by a variable
+    calls = []
+    for name in ("subs", "diff"):
+        real = getattr(Polynomial, name)
+
+        def counted(self, *args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(Polynomial, name, counted)
+    _clear_every_cache()
+    try:
+        assert run(RunConfig(n=n, d=d))["ok"]
+    finally:
+        _clear_every_cache()
+    assert calls == []
+
+
+def test_brackets_of_the_34_frame_apply_no_field_to_a_disjoint_direction(monkeypatch):
+    ctx = JetContext(3, 4)
+    fields = [f.field for f in enumerate_frame(ctx, 1)]
+    generators = reparam_generators(ctx)
+    disjoint = []
+    real = VectorField.apply
+
+    def spy(self, p):
+        disjoint.append(p.variables().isdisjoint(self.coeffs))
+        return real(self, p)
+
+    monkeypatch.setattr(VectorField, "apply", spy)
+    brackets = [v.bracket(f) for v in generators for f in fields]
+    monkeypatch.undo()
+    assert disjoint and not any(disjoint)
+    assert brackets == [bracket_on_every_direction(v, f) for v in generators for f in fields]
 
 
 def test_no_generators_at_n1():
