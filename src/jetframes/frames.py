@@ -19,6 +19,8 @@ from itertools import combinations_with_replacement, product
 from typing import NamedTuple, Sequence
 
 from .algebra import (
+    COORD,
+    JET,
     Polynomial,
     VectorField,
     binomial_product,
@@ -28,6 +30,7 @@ from .algebra import (
     enumerate_exponents,
     falling_product,
     integer_adjugate,
+    iter_terms,
     jet,
     mat,
     mi_leq,
@@ -447,6 +450,154 @@ def _image(field: VectorField, grad: dict) -> Polynomial:
     return dot((c, grad[v]) for v, c in field.items() if v in grad)
 
 
+def _taylor_parts(field: VectorField, ctx: JetContext, slots) -> tuple | None:
+    """(kl, directions) for a field that moves z_k^(lam) by z_l^(lam) for
+    lam = 1..n (kl = (k, l)) or no jet (kl = None), no coordinate, and
+    coefficient slots of ctx (the variables in slots) by directions that hold
+    no jet variable: directions lists (alpha, A_alpha).  None for any other
+    field."""
+    jets: dict = {}
+    directions = []
+    for v, c in field.items():
+        if v[0] == JET:
+            jets[v] = c
+        elif v in slots and all(u[0] != JET for u in c.variables()):
+            directions.append((v[1:], c))
+        else:
+            return None
+    if not jets:
+        return None, directions
+    k = min(v[1] for v in jets)
+    l = next((u[1] for u in jets.get(jet(k, 1), Polynomial.zero()).variables() if u[0] == JET), None)
+    if l is None or jets != {jet(k, lam): Polynomial.var(jet(l, lam)) for lam in range(1, ctx.n + 1)}:
+        return None
+    return (k, l), directions
+
+
+class _TaylorIdentities:
+    """Decides X(E_kappa) = 0 for kappa = lowest..n at the base point, for a
+    field X that _taylor_parts accepts: X moves z_k^(lam) by z_l^(lam)
+    (or no jet), no coordinate, and each slot a_alpha by an A_alpha free of
+    jets.  E_kappa = D^kappa E_0 is kappa! [t^kappa] F(z(t)), F = E_0 and
+    z(t) = z + sum_lam z^(lam) t^lam / lam!, so X(E_kappa) is
+    kappa! [t^kappa] H(z(t)), z frozen in
+        H(zeta) = sum_alpha A_alpha(z) zeta^alpha + (zeta_l - z_l) d_k F(zeta).
+    Its Taylor coefficients at zeta = z are I_sigma / sigma!, with
+        I_sigma = sum_alpha A_alpha(z) (alpha)_sigma z^(alpha - sigma)
+                  + sigma_l d^(sigma - e_l + e_k) F(z),
+    (alpha)_sigma = falling_product(alpha, sigma), and hold no jet, so the
+    coefficient of (z')^sigma in X(E_|sigma|) is |sigma|!/sigma! I_sigma:
+    X(E_lowest..E_n) = 0 exactly when I_sigma = 0 for lowest <= |sigma| <= n.
+
+    The terms of every I_sigma of one field go into one dictionary, keyed by
+    an int that packs the term's monomial in the other variables (by id),
+    sigma (by index) and the z exponent (in radix digits, each below radix),
+    and are dropped with the field."""
+
+    def __init__(self, ctx: JetContext, fields, e0: Polynomial, lowest: int):
+        self.ctx, self.e0, self.lowest = ctx, e0, lowest
+        self.slots = frozenset(ctx.coeff_vars)
+        # a z exponent of I_sigma is one of a direction's plus alpha - sigma, or one of E_0's
+        top = max(
+            (e for f in fields for _, c in f.items() for mono, _ in iter_terms(c) for u, e in mono if u[0] == COORD),
+            default=0,
+        )
+        radix = top + ctx.d + 1
+        self.digits = [radix**j for j in range(ctx.nvars)]
+        self.sigmas = {sigma: i for i, sigma in enumerate(_jet_exponents(ctx))}
+        self.span = radix**ctx.nvars  # one sigma's range of codes
+        self.rest_span = len(self.sigmas) * self.span  # one monomial's range of codes
+        self.rests: dict = {}
+        self._below: dict = {}
+
+    def code(self, exponent) -> int:
+        return sum(e * r for e, r in zip(exponent, self.digits))
+
+    def split(self, p: Polynomial):
+        """Each term of p as (its coordinate pairs, the code of its monomial, c)."""
+        digits, rests = self.digits, self.rests
+        for mono, c in iter_terms(p):
+            j = zcode = 0
+            for (u, *index), e in mono:  # coordinates sort first
+                if u != COORD:
+                    break
+                zcode += e * digits[index[0] - 1]
+                j += 1
+            yield mono[:j], rests.setdefault(mono[j:], len(rests)) * self.rest_span + zcode, c
+
+    def below(self, alpha) -> list:
+        """(the code of sigma and of alpha - sigma, (alpha)_sigma) for each
+        sigma <= alpha with lowest <= |sigma| <= n."""
+        got = self._below.get(alpha)
+        if got is None:
+            n, top = self.ctx.n, self.code(alpha)
+            got = self._below[alpha] = [
+                (self.sigmas[sigma] * self.span + top - self.code(sigma), falling_product(alpha, sigma))
+                for sigma in product(*(range(min(a, n) + 1) for a in alpha))
+                if self.lowest <= sum(sigma) <= n
+            ]
+        return got
+
+    @cached_property
+    def f_partials(self) -> dict:
+        """{tau: [(code of the term's other pairs and z exponent, c)]}: the
+        terms of d^tau F(z), lowest <= |tau| <= n, read off E_0's terms."""
+        out: dict = {}
+        for pairs, top, c in self.split(self.e0):
+            zexp = [0] * self.ctx.nvars
+            for (_, i), e in pairs:
+                zexp[i - 1] = e
+            for tau in product(*(range(min(a, self.ctx.n) + 1) for a in zexp)):
+                if self.lowest <= sum(tau) <= self.ctx.n:
+                    out.setdefault(tau, []).append((top - self.code(tau), c * falling_product(zexp, tau)))
+        return out
+
+    def vanish(self, field: VectorField) -> bool | None:
+        """Whether every I_sigma of the field is 0; None where _taylor_parts
+        declines the field."""
+        parts = _taylor_parts(field, self.ctx, self.slots)
+        if parts is None:
+            return None
+        kl, directions = parts
+        acc: dict = {}
+        get = acc.get
+        for alpha, direction in directions:
+            below = self.below(alpha)
+            for _, at, c in self.split(direction):
+                for shift, w in below:
+                    key = at + shift
+                    acc[key] = get(key, 0) + c * w
+        if kl is not None:
+            k, l = kl
+            for tau, terms in self.f_partials.items():
+                sigma = list(tau)
+                sigma[k - 1] -= 1
+                sigma[l - 1] += 1
+                if sigma[k - 1] < 0 or not sigma[l - 1]:
+                    continue
+                weight, shift = sigma[l - 1], self.sigmas[tuple(sigma)] * self.span
+                for at, c in terms:
+                    key = at + shift
+                    acc[key] = get(key, 0) + weight * c
+        return not any(acc.values())
+
+
+def _first_moving(fields, eqs, ctx: JetContext, lowest: int) -> str | None:
+    """The label of the first field X with X(E_kappa) != 0 for some kappa =
+    lowest..n, or None: decided by X's Taylor identities at the base point
+    (_TaylorIdentities), or by _first_nonzero_image on X alone where
+    _taylor_parts declines it.  Fields are taken in order, so the label is
+    the one _first_nonzero_image(fields, eqs[lowest:]) gives."""
+    identities = _TaylorIdentities(ctx, [f.field for f in fields], eqs[0], lowest)
+    for f in fields:
+        vanish = identities.vanish(f.field)
+        if vanish is None:
+            vanish = _first_nonzero_image([f], eqs[lowest:]) is None
+        if not vanish:
+            return f.label
+    return None
+
+
 @lru_cache(maxsize=None)
 def _columns_are_partials(ctx: JetContext) -> bool:
     """dE_kappa/da_gamma is the entry of the Cramer systems at row kappa and
@@ -504,8 +655,10 @@ class TangencyProof(NamedTuple):
 def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     """Symbolic tangency of the cached frames of one chart, proved once per
     process.  The coefficient fields of each variant are decided by
-    cramer_tangency; the shifted and coordinate fields, and the E_kl fields
-    on E_1..E_n, by _first_nonzero_image.  E_kl(E_0) must be t_kl * E_0,
+    cramer_tangency; the shifted fields on E_0..E_n and the E_kl fields on
+    E_1..E_n by their Taylor identities at the base point (_first_moving),
+    and the coordinate fields, which move z itself, by
+    _first_nonzero_image.  E_kl(E_0) must be t_kl * E_0,
     t_kl the m(k, l) part of top_factor, paired with its field by (k, l).
     A field that sends E_0 to a multiple of it and E_1..E_n to 0 is tangent
     at every point of the jet space."""
@@ -518,11 +671,11 @@ def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     grad0 = eqs[0].gradient({v for f in jet_fields for v, _ in f.field.items()})
     return TangencyProof(
         coefficient=next(filter(None, (cramer_tangency(ctx, chart, variant) for variant, _ in VARIANTS)), None),
-        shifted=_first_nonzero_image([f for f in fields if f.kind == "shifted_coefficient"], eqs),
+        shifted=_first_moving([f for f in fields if f.kind == "shifted_coefficient"], eqs, ctx, 0),
         coordinate=_first_nonzero_image([f for f in fields if f.kind == "coordinate"], eqs),
         jet_order0=next(
             (f.label for f in jet_fields if _image(f.field, grad0) != factors.get(f.label, Polynomial.zero()) * eqs[0]),
             None,
         ),
-        jet_higher=_first_nonzero_image(jet_fields, eqs[1:]),
+        jet_higher=_first_moving(jet_fields, eqs, ctx, 1),
     )

@@ -13,6 +13,7 @@ import jetframes.frames as frames
 import jetframes.wronskian as wronskian
 from jetframes.algebra import (
     COEFF,
+    MAT,
     Polynomial,
     VectorField,
     coord,
@@ -531,3 +532,62 @@ def test_a_moved_frame_jet_field_is_named_by_the_proof_and_by_span(monkeypatch, 
     cached = spanning_check(ctx, chart=1, trials=2, seed=0)
     reference = spanning_check(ctx, chart=1, trials=2, seed=0, fields=enumerate_frame(ctx, 1))
     assert [r.first_offender for r in cached] == [r.first_offender for r in reference] == [label] * 2
+
+
+def _fallback_fields(monkeypatch) -> list:
+    """The labels of every list of fields _first_nonzero_image is given."""
+    received = []
+    real = frames._first_nonzero_image
+    monkeypatch.setattr(frames, "_first_nonzero_image", lambda fields, eqs: received.append([f.label for f in fields]) or real(fields, eqs))
+    return received
+
+
+def _coordinate_labels(ctx) -> list:
+    return [f"coord[{i}]" for i in range(1, ctx.nvars + 1)]
+
+
+@pytest.mark.parametrize("nd, kl, alpha, c, j", [((2, 3), (1, 1), (0, 1, 0), 1, 1), ((2, 3), (3, 2), (1, 1, 1), -3, 3), ((3, 4), (2, 3), (0, 0, 2, 0), 2, 4)])
+def test_a_coefficient_direction_plus_c_z_j_is_named_by_jet_higher(monkeypatch, fresh_frames, nd, kl, alpha, c, j):
+    ctx = JetContext(*nd)
+    # X(E_1) gains c z_j D(z^alpha), not 0 for |alpha| >= 1 (a_0 moves only E_0)
+    label = _move_one_jet_field(monkeypatch, ctx, *kl, ctx.coeff_var(alpha), c * Polynomial.var(coord(j)))
+    received = _fallback_fields(monkeypatch)
+    assert frames.tangency_proof(ctx, 1).jet_higher == label
+    # the Taylor identities decide it: only the coordinate fields take the images
+    assert received == [_coordinate_labels(ctx)]
+
+
+@pytest.mark.parametrize("nd", [(2, 3), (3, 4)])
+def test_a_dropped_table_entry_is_named_by_jet_higher(monkeypatch, fresh_frames, nd):
+    ctx = JetContext(*nd)
+    real = frames._solve_symbolic_table  # its cached table is copied, not changed
+    # the first entry (alpha, beta) with |alpha| >= 1: A_alpha loses T(alpha, beta) z^beta
+    key = min(k for k in real(ctx).entries if sum(k[0]) >= 1)
+    parts = sorted(v[1:] for v in real(ctx).entries[key].variables() if v[0] == MAT)
+
+    def dropped(ctx):
+        table = real(ctx)
+        return frames.JetFieldTable(ctx, {k: p for k, p in table.entries.items() if k != key}, table.top_factor, table.block_dets)
+
+    monkeypatch.setattr(frames, "_solve_symbolic_table", dropped)
+    received = _fallback_fields(monkeypatch)
+    proof = frames.tangency_proof(ctx, 1)
+    # the first E_kl whose m(k, l) part of the entry is not 0
+    assert proof.jet_higher == frames._jet_label(*parts[0], ctx.nvars)
+    assert received == [_coordinate_labels(ctx)]
+    jet_fields = [f for f in frames.variant_free_frame(ctx) if f.kind == "jet_linear"]
+    assert proof.jet_higher == frames._first_nonzero_image(jet_fields, defining_equations_iterated(ctx)[1:])
+
+
+@pytest.mark.parametrize("alpha, named", [((0, 1, 0), True), ((0, 0, 0), False)])
+def test_a_jet_in_a_coefficient_direction_takes_the_fallback_for_jet_higher(monkeypatch, fresh_frames, alpha, named):
+    ctx = JetContext(2, 3)
+    # z_1' z_2 on a_alpha: X(E_1) gains z_1' z_2 D(z^alpha), 0 only for alpha = 0
+    label = _move_one_jet_field(monkeypatch, ctx, 2, 1, ctx.coeff_var(alpha), Polynomial.var(jet(1, 1)) * Polynomial.var(coord(2)))
+    received = _fallback_fields(monkeypatch)
+    proof = frames.tangency_proof(ctx, 1)
+    assert proof.jet_higher == (label if named else None)
+    # the field alone takes the images, as the coordinate fields do
+    assert received == [_coordinate_labels(ctx), [label]]
+    if not named:
+        assert proof.jet_order0 == label
