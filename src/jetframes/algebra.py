@@ -625,7 +625,7 @@ def mi_sub(alpha: Sequence[int], beta: Sequence[int]) -> tuple:
 
 def mi_leq(beta: Sequence[int], alpha: Sequence[int]) -> bool:
     """Componentwise beta <= alpha."""
-    return all(b <= a for a, b in zip(alpha, beta))
+    return all(map(operator.le, beta, alpha))
 
 
 def unit_index(nvars: int, i: int) -> tuple:

@@ -16,11 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
-from typing import NamedTuple, Sequence
+from math import prod
+from operator import add
+from typing import NamedTuple
 
 from .algebra import (
     COORD,
     JET,
+    MAT,
     Polynomial,
     VectorField,
     binomial_product,
@@ -28,6 +31,7 @@ from .algebra import (
     coord,
     dot,
     enumerate_exponents,
+    falling_factorial,
     falling_product,
     integer_adjugate,
     iter_terms,
@@ -217,15 +221,6 @@ class JetFieldTable:
     def get(self, alpha, beta) -> Polynomial:
         return self.entries.get((tuple(alpha), tuple(beta)), Polynomial.zero())
 
-    def coefficient_direction(self, alpha) -> Polynomial:
-        """A_alpha as a polynomial in z (and coefficients / matrix entries)."""
-        alpha = tuple(alpha)
-        return dot(
-            (entry, self.ctx.monomial_z(beta))
-            for beta in _jet_exponents(self.ctx)
-            if (entry := self.entries.get((alpha, beta))) is not None
-        )
-
     def substitute_matrix(self, linear_map) -> "JetFieldTable":
         """The table at a numeric matrix: every m(k, l) bound to
         linear_map[k-1][l-1]."""
@@ -234,38 +229,6 @@ class JetFieldTable:
         polys = {key: p.subs(binds) for key, p in self.entries.items()}
         nonzero = {key: p for key, p in polys.items() if not p.is_zero()}
         return JetFieldTable(self.ctx, nonzero, self.top_factor.subs(binds), dict(self.block_dets))
-
-
-def _counts(js: Sequence[int], nvars: int) -> tuple:
-    c = [0] * nvars
-    for j in js:
-        c[j - 1] += 1
-    return tuple(c)
-
-
-def _remainder(rho, js, ctx: JetContext) -> Polynomial:
-    """Bilinear remainder of the derivative equation indexed by the multiset
-    js at the monomial z^{rho - sum e_j}: the matrix-transport of the ambient
-    equation, coefficient-extracted in closed form."""
-    nvars = ctx.nvars
-    terms = []
-    for m in range(len(js)):
-        jm = js[m]
-        for l in range(1, nvars + 1):
-            gamma = list(rho)
-            gamma[jm - 1] -= 1
-            gamma[l - 1] += 1
-            if gamma[jm - 1] < 0:
-                continue
-            gamma_t = tuple(gamma)
-            replaced = js[:m] + (l,) + js[m + 1:]
-            c = falling_product(gamma_t, _counts(replaced, nvars))
-            if c == 0:
-                continue
-            # c * a_gamma * m(l, jm), a_gamma = 1 on the normalized slot
-            entry = (mat(l, jm), 1)
-            terms.append(((entry,) if gamma_t == ctx.normalized_exponent else ((coeff(gamma_t), 1), entry), c))
-    return sum_terms(terms)
 
 
 def solve_jet_field_coefficients(ctx: JetContext, linear_map=None) -> JetFieldTable:
@@ -287,18 +250,20 @@ def _derivative_multisets(ctx: JetContext) -> tuple:
     """Each multiset js of 1..n derivative directions, with its counts."""
     size = range(1, ctx.nvars + 1)
     multisets = (js for e in range(1, ctx.n + 1) for js in combinations_with_replacement(size, e))
-    return tuple((js, _counts(js, ctx.nvars)) for js in multisets)
+    return tuple((js, tuple(map(js.count, size))) for js in multisets)
+
+
+@lru_cache(maxsize=None)
+def _falling_factorials(ctx: JetContext) -> tuple:
+    """[s][a] = (a)_s, s <= n and a <= d: every falling product's factors."""
+    return tuple(tuple(falling_factorial(a, s) for a in range(ctx.d + 1)) for s in range(ctx.n + 1))
 
 
 def jet_field_block(ctx: JetContext, rho) -> tuple[list, list, list]:
     """The square integer block of the jet-field system at total index rho:
     its unknowns beta, one row per equation, and each row's multiset js of
     derivative directions (None for the order-0 equation)."""
-    unknowns = [
-        beta
-        for beta in _jet_exponents(ctx)
-        if mi_leq(beta, rho) and rho[0] - beta[0] < ctx.d
-    ]
+    unknowns = [beta for beta in _jet_exponents(ctx) if mi_leq(beta, rho) and rho[0] - beta[0] < ctx.d]
     rows: list = []
     keys: list = []
     if not unknowns:
@@ -306,36 +271,72 @@ def jet_field_block(ctx: JetContext, rho) -> tuple[list, list, list]:
     if rho[0] < ctx.d:
         rows.append([1] * len(unknowns))
         keys.append(None)
-    shifts = [mi_sub(rho, beta) for beta in unknowns]
+    table = _falling_factorials(ctx)
+    shifts = list(zip(*(mi_sub(rho, beta) for beta in unknowns)))  # shifts[j]: each unknown's (rho - beta)_j
     for js, sigma in _derivative_multisets(ctx):
         if mi_leq(sigma, rho):
-            rows.append([falling_product(shift, sigma) for shift in shifts])
+            row = [1] * len(unknowns)
+            for shift, s in zip(shifts, sigma):
+                if s:
+                    row = [x * table[s][a] for x, a in zip(row, shift)]
+            rows.append(row)
             keys.append(js)
     return unknowns, rows, keys
 
 
+def _remainder_columns(rho, keys, ctx: JetContext) -> list:
+    """The block's right sides at rho but the order-0 row's, as int columns:
+    one (a_gamma * m(l, j), its nonzero (r, column[r])) per (l, j) with
+    rho_j >= 1 and a nonzero column, gamma = rho - e_j + e_l.  Row r's right
+    side, the sum of column[r] * a_gamma * m(l, j), is minus the bilinear
+    remainder of its derivative equation (the matrix-transport of the ambient
+    one); with sigma the counts of its js, the remainder has sigma_j equal
+    terms for j, so column[r] = -sigma_j (gamma)_(sigma - e_j + e_l)."""
+    table = _falling_factorials(ctx)
+    sigmas = [tuple(map((js or ()).count, range(1, ctx.nvars + 1))) for js in keys]
+    columns = []
+    for j, l in product(range(ctx.nvars), repeat=2):
+        if rho[j]:
+            move = [(i == l) - (i == j) for i in range(ctx.nvars)]  # e_l - e_j
+            gamma = tuple(map(add, rho, move))  # |gamma| <= d and |sigma - e_j + e_l| <= n: in the table
+            column = [
+                (r, y)
+                for r, s in enumerate(sigmas)
+                if s[j] and (y := -s[j] * prod(table[t][g] for g, t in zip(gamma, map(add, s, move)) if t))
+            ]
+            if column:
+                a_gamma = [(coeff(gamma), 1)] if gamma != ctx.normalized_exponent else []
+                columns.append((Polynomial.monomial([*a_gamma, (mat(l + 1, j + 1), 1)]), column))
+    return columns
+
+
 @lru_cache(maxsize=None)
 def _solve_symbolic_table(ctx: JetContext) -> JetFieldTable:
+    """Each block's right sides are the int columns of _remainder_columns, of
+    monomials a_gamma * m(l, j), and a_rho * top_factor on the order-0 row:
+    unknown i is one int dot of adj's row i with each column (adj[i][0] for
+    a_rho * top_factor), over det, from one integer_adjugate per block."""
     top_rho = ctx.normalized_exponent
     entries: dict = {}
     block_dets: dict = {}
     top_factor = Polynomial.zero()
     adjugate_of = lru_cache(maxsize=None)(integer_adjugate)  # each distinct block eliminated once per call
-
     for rho in [top_rho, *ctx.coeff_exponents]:
         unknowns, rows, keys = jet_field_block(ctx, rho)
         if not unknowns:
             continue
         if len(rows) != len(unknowns):
-            raise RuntimeError(
-                f"block {rho}: {len(rows)} equations for {len(unknowns)} unknowns"
-            )
+            raise RuntimeError(f"block {rho}: {len(rows)} equations for {len(unknowns)} unknowns")
         block_dets[rho], adj = adjugate_of(tuple(map(tuple, rows)))
         if adj is None:  # a singular block fails its item, its entries left out
             continue
-        # the order-0 equation has top_factor moved to the right-hand side
-        rhs = [ctx.coeff_poly(rho) * top_factor if js is None else -_remainder(rho, js, ctx) for js in keys]
-        solution = [dot((y, w) for y, w in zip(rhs, weights) if w) * Fraction(1, block_dets[rho]) for weights in adj]
+        columns = _remainder_columns(rho, keys, ctx)
+        if keys[0] is None:  # the order-0 equation, with top_factor moved to the right-hand side
+            columns.append((ctx.coeff_poly(rho) * top_factor, [(0, 1)]))
+        solution = []
+        for weights in adj:
+            parts = ((p, sum(weights[r] * y for r, y in column)) for p, column in columns)
+            solution.append(dot((p, x) for p, x in parts if x) * Fraction(1, block_dets[rho]))
         for beta, val in zip(unknowns, solution):
             if not val.is_zero():
                 entries[(mi_sub(rho, beta), beta)] = val
@@ -344,59 +345,39 @@ def _solve_symbolic_table(ctx: JetContext) -> JetFieldTable:
     return JetFieldTable(ctx, entries, top_factor, block_dets)
 
 
-def jet_linear_field(linear_map, ctx: JetContext, table: JetFieldTable | None = None) -> FrameField:
-    """Field whose jet coordinates move by the given matrix applied to every
-    jet column, corrected in the coefficient directions so that tangency holds
-    on the variety (order 0 reproduces a multiple of the defining polynomial,
-    all higher orders are annihilated identically)."""
-    if table is None:
-        table = solve_jet_field_coefficients(ctx, linear_map)
-    directions: dict = {}
-    for k in range(1, ctx.nvars + 1):
-        for lam in range(1, ctx.n + 1):
-            directions[jet(k, lam)] = dot(
-                (
-                    Polynomial.var(mat(k, l)) if linear_map is None else Fraction(linear_map[k - 1][l - 1]),
-                    Polynomial.var(jet(l, lam)),
-                )
-                for l in range(1, ctx.nvars + 1)
-            )
-    for alpha in ctx.coeff_exponents:
-        a_dir = table.coefficient_direction(alpha)
-        if not a_dir.is_zero():
-            directions[ctx.coeff_var(alpha)] = a_dir
-    label = "jet[symbolic]" if linear_map is None else f"jet[{_matrix_label(linear_map)}]"
-    return FrameField(kind="jet_linear", label=label, field=VectorField(directions))
-
-
-def _matrix_label(linear_map) -> str:
-    return ";".join(",".join(str(Fraction(x)) for x in row) for row in linear_map)
-
-
 def elementary_matrix(k: int, l: int, size: int):
     return [[1 if (r == k - 1 and c == l - 1) else 0 for c in range(size)] for r in range(size)]
 
 
-def matrix_partials(field: VectorField, size: int) -> dict:
-    """{(k, l): the derivative of field in m(k, l)} for a field whose
-    directions are linear in the entries of a size x size matrix, so that
-    the part of m(k, l) is the field at the elementary matrix E_kl.  Euler's
-    identity sum m(k, l) dc/dm(k, l) = c holds for a direction c exactly when
-    each of its terms has degree 1 in the entries; any other raises
-    ValueError."""
-    entries = dict.fromkeys(mat(k, l) for k in range(1, size + 1) for l in range(1, size + 1))
-    parts: dict = {m: {} for m in entries}
-    for v, c in field.items():
-        partials = c.gradient(entries)
-        if dot((Polynomial.var(m), dc) for m, dc in partials.items()) != c:
-            raise ValueError(f"the d/d{var_name(v)} direction is not linear in the matrix entries")
-        for m, dc in partials.items():
-            parts[m][v] = dc
-    return {m[1:]: VectorField(directions) for m, directions in parts.items()}
+def elementary_jet_fields(table: JetFieldTable) -> dict:
+    """{(k, l): E_kl's jet-linear field}, read off the symbolic table: a term
+    c * a * m(k, l) of T(alpha, beta) is c * z^beta * a in E_kl's a_alpha
+    direction, and E_kl moves z_k^(lam) by z_l^(lam).  A term without exactly
+    one matrix entry, of exponent 1, raises ValueError naming its slot."""
+    ctx = table.ctx
+    z_pairs = {beta: [(coord(i), e) for i, e in enumerate(beta, start=1) if e] for beta in _jet_exponents(ctx)}
+    by_slot: dict = {}
+    for (alpha, beta), entry in table.entries.items():
+        by_slot.setdefault(alpha, []).append((z_pairs[beta], entry))
+    fields = {
+        (k, l): {jet(k, lam): Polynomial.var(jet(l, lam)) for lam in range(1, ctx.n + 1)}
+        for k, l in product(range(1, ctx.nvars + 1), repeat=2)
+    }
+    for alpha, slot in zip(ctx.coeff_exponents, ctx.coeff_vars):  # one slot's terms at a time
+        terms: dict = {}  # (k, l) -> [(pairs, c)]
+        for z, entry in by_slot.get(alpha, ()):
+            for mono, c in iter_terms(entry):
+                matrix = [pair for pair in mono if pair[0][0] == MAT]
+                if len(matrix) != 1 or matrix[0][1] != 1:
+                    raise ValueError(f"the d/d{var_name(slot)} direction is not linear in the matrix entries")
+                terms.setdefault(matrix[0][0][1:], []).append((z + [p for p in mono if p not in matrix], c))
+        for kl, kl_terms in terms.items():
+            fields[kl][slot] = sum_terms(kl_terms)
+    return {kl: VectorField(directions) for kl, directions in fields.items()}
 
 
 def _jet_label(k: int, l: int, size: int) -> str:
-    return f"jet[{_matrix_label(elementary_matrix(k, l, size))}]"
+    return "jet[" + ";".join(",".join(map(str, row)) for row in elementary_matrix(k, l, size)) + "]"
 
 
 @lru_cache(maxsize=None)
@@ -405,8 +386,7 @@ def variant_free_frame(ctx: JetContext) -> tuple:
     one jet-linear field per E_kl, built once per context."""
     fields = canonical_shifted_fields(ctx)
     fields += [coordinate_field(i, ctx) for i in range(1, ctx.nvars + 1)]
-    # the field is linear in M, so E_kl's field is its derivative in m(k, l)
-    for (k, l), part in matrix_partials(jet_linear_field(None, ctx).field, ctx.nvars).items():
+    for (k, l), part in elementary_jet_fields(_solve_symbolic_table(ctx)).items():
         fields.append(FrameField(kind="jet_linear", label=_jet_label(k, l, ctx.nvars), field=part))
     return tuple(fields)
 
@@ -448,6 +428,12 @@ def _first_nonzero_image(fields, eqs) -> str | None:
 def _image(field: VectorField, grad: dict) -> Polynomial:
     """X(E) = sum_v X[v] dE/dv, grad holding E's partials."""
     return dot((c, grad[v]) for v, c in field.items() if v in grad)
+
+
+def _commutes_with_d(field: VectorField) -> bool:
+    """Whether X moves no jet, by directions free of z and jets: then
+    [X, D] = 0 (D moves z and jets by jets), so X(E_kappa) = D^kappa X(E_0)."""
+    return all(v[0] != JET and all(u[0] not in (COORD, JET) for u in c.variables()) for v, c in field.items())
 
 
 def _taylor_parts(field: VectorField, ctx: JetContext, slots) -> tuple | None:
@@ -658,7 +644,8 @@ def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     cramer_tangency; the shifted fields on E_0..E_n and the E_kl fields on
     E_1..E_n by their Taylor identities at the base point (_first_moving),
     and the coordinate fields, which move z itself, by
-    _first_nonzero_image.  E_kl(E_0) must be t_kl * E_0,
+    _first_nonzero_image, on E_0 alone where each commutes with D
+    (_commutes_with_d).  E_kl(E_0) must be t_kl * E_0,
     t_kl the m(k, l) part of top_factor, paired with its field by (k, l).
     A field that sends E_0 to a multiple of it and E_1..E_n to 0 is tangent
     at every point of the jet space."""
@@ -669,10 +656,12 @@ def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     labels = {mat(k, l): _jet_label(k, l, ctx.nvars) for k in size for l in size}
     factors = {labels[m]: t for m, t in _solve_symbolic_table(ctx).top_factor.gradient(labels).items()}
     grad0 = eqs[0].gradient({v for f in jet_fields for v, _ in f.field.items()})
+    coordinate = [f for f in fields if f.kind == "coordinate"]
+    commuting = all(_commutes_with_d(f.field) for f in coordinate)
     return TangencyProof(
         coefficient=next(filter(None, (cramer_tangency(ctx, chart, variant) for variant, _ in VARIANTS)), None),
         shifted=_first_moving([f for f in fields if f.kind == "shifted_coefficient"], eqs, ctx, 0),
-        coordinate=_first_nonzero_image([f for f in fields if f.kind == "coordinate"], eqs),
+        coordinate=_first_nonzero_image(coordinate, eqs[:1] if commuting else eqs),
         jet_order0=next(
             (f.label for f in jet_fields if _image(f.field, grad0) != factors.get(f.label, Polynomial.zero()) * eqs[0]),
             None,

@@ -310,16 +310,21 @@ def _series_mul(a, b, order):
     return out
 
 
+@lru_cache(maxsize=None)
+def _series_plan(ctx: JetContext) -> tuple:
+    """Each |alpha| <= d but 0 in graded order, so parents come first, with
+    its parent alpha - e_j and j, its first nonzero slot (0-based)."""
+    firsts = ((alpha, next(i for i, e in enumerate(alpha) if e)) for alpha in enumerate_exponents(ctx.nvars, ctx.d)[1:])
+    return tuple((alpha, alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], j) for alpha, j in firsts)
+
+
 def monomial_series(curve: Sequence[Sequence], ctx: JetContext) -> dict:
     """{alpha: z(t)^alpha mod t^(n+1)} for every |alpha| <= d, along the curve
     z_i(t) = sum_m curve[i-1][m] t^m.  Every pointwise value of D^kappa(z^alpha)
     is kappa! times a coefficient of these series.  Each alpha is its parent
-    alpha - e_j (j its first nonzero slot) times z_j(t)."""
-    zero, *rest = enumerate_exponents(ctx.nvars, ctx.d)  # graded: parents come first
-    series = {zero: [1] + [0] * ctx.n}
-    for alpha in rest:
-        j = next(i for i, e in enumerate(alpha) if e)
-        parent = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+    alpha - e_j times z_j(t), in the order of _series_plan."""
+    series = {(0,) * ctx.nvars: [1] + [0] * ctx.n}
+    for alpha, parent, j in _series_plan(ctx):
         series[alpha] = _series_mul(series[parent], curve[j], ctx.n)
     return series
 

@@ -3,8 +3,9 @@ and its rank over Q, cofactor determinants, polynomial divisibility, the
 chart-change oracle and its per-monomial order, iterated total derivatives,
 the rank of the jet matrix, the split identity behind the shifted
 coefficient fields, and the product-built forms of integer Bareiss with
-polynomial right sides and of the jet-field remainders, and the
-reparametrization action derived by iterating the parameter derivative."""
+polynomial right sides and of the jet-field remainders, the jet-linear field
+of a matrix (symbolic or numeric) and its parts in the matrix entries, and
+the reparametrization action derived by iterating the parameter derivative."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,7 @@ from jetframes.algebra import (
     _require_square,
     binomial_product,
     coord,
+    dot,
     falling_product,
     iter_terms,
     jet,
@@ -30,8 +32,15 @@ from jetframes.algebra import (
     mi_sub,
     phi,
     rank_rational,
+    var_name,
 )
-from jetframes.frames import jet_field_block
+from jetframes.frames import (
+    FrameField,
+    JetFieldTable,
+    _jet_exponents,
+    jet_field_block,
+    solve_jet_field_coefficients,
+)
 from jetframes.jetspace import JetContext, JetPoint, jacobian_matrix_at, total_derivative
 
 
@@ -243,9 +252,11 @@ def integer_bareiss_by_products(matrix: Sequence[Sequence[int]], rhs: Sequence) 
 
 
 def remainder_by_products(rho, js: tuple, ctx: JetContext) -> Polynomial:
-    """frames._remainder as a sum of products c * a_gamma * m(l, j_m),
-    gamma = rho - e_(j_m) + e_l, c the falling product of gamma over the
-    multiset js with j_m replaced by l."""
+    """The bilinear remainder of the derivative equation of the multiset js
+    in the jet-field block at rho, as a sum of products c * a_gamma *
+    m(l, j_m) over the positions m of js, gamma = rho - e_(j_m) + e_l, c the
+    falling product of gamma over js with j_m replaced by l: the reference
+    for frames._remainder_columns, whose columns hold minus it."""
     total = Polynomial.zero()
     for m, jm in enumerate(js):
         for l in range(1, ctx.nvars + 1):
@@ -286,6 +297,61 @@ def jet_field_table_by_products(ctx: JetContext) -> tuple:
         if rho == ctx.normalized_exponent:
             top_factor = sum(solution, Polynomial.zero())
     return entries, top_factor, block_dets
+
+
+def coefficient_direction(table: JetFieldTable, alpha) -> Polynomial:
+    """A_alpha = sum_beta T(alpha, beta) z^beta, the jet-linear field's
+    a_alpha direction (in z, the coefficients and the matrix entries)."""
+    ctx, alpha = table.ctx, tuple(alpha)
+    return dot(
+        (entry, ctx.monomial_z(beta))
+        for beta in _jet_exponents(ctx)
+        if (entry := table.entries.get((alpha, beta))) is not None
+    )
+
+
+def jet_linear_field(linear_map, ctx: JetContext, table: JetFieldTable | None = None) -> FrameField:
+    """Field whose jet coordinates move by the given matrix applied to every
+    jet column (symbolic entries m(k, l) for linear_map=None), corrected in
+    the coefficient directions by the table so that tangency holds on the
+    variety (order 0 reproduces a multiple of the defining polynomial, all
+    higher orders are annihilated identically)."""
+    if table is None:
+        table = solve_jet_field_coefficients(ctx, linear_map)
+    directions: dict = {}
+    for k in range(1, ctx.nvars + 1):
+        for lam in range(1, ctx.n + 1):
+            directions[jet(k, lam)] = dot(
+                (
+                    Polynomial.var(mat(k, l)) if linear_map is None else Fraction(linear_map[k - 1][l - 1]),
+                    Polynomial.var(jet(l, lam)),
+                )
+                for l in range(1, ctx.nvars + 1)
+            )
+    for alpha in ctx.coeff_exponents:
+        a_dir = coefficient_direction(table, alpha)
+        if not a_dir.is_zero():
+            directions[ctx.coeff_var(alpha)] = a_dir
+    label = "symbolic" if linear_map is None else ";".join(",".join(str(Fraction(x)) for x in row) for row in linear_map)
+    return FrameField(kind="jet_linear", label=f"jet[{label}]", field=VectorField(directions))
+
+
+def matrix_partials(field: VectorField, size: int) -> dict:
+    """{(k, l): the derivative of field in m(k, l)} for a field whose
+    directions are linear in the entries of a size x size matrix, so that
+    the part of m(k, l) is the field at the elementary matrix E_kl.  Euler's
+    identity sum m(k, l) dc/dm(k, l) = c holds for a direction c exactly when
+    each of its terms has degree 1 in the entries; any other raises
+    ValueError.  The reference for frames.elementary_jet_fields."""
+    entries = dict.fromkeys(mat(k, l) for k in range(1, size + 1) for l in range(1, size + 1))
+    parts: dict = {m: {} for m in entries}
+    for v, c in field.items():
+        partials = c.gradient(entries)
+        if dot((Polynomial.var(m), dc) for m, dc in partials.items()) != c:
+            raise ValueError(f"the d/d{var_name(v)} direction is not linear in the matrix entries")
+        for m, dc in partials.items():
+            parts[m][v] = dc
+    return {m[1:]: VectorField(directions) for m, directions in parts.items()}
 
 
 def bracket_on_every_direction(x: VectorField, y: VectorField) -> VectorField:

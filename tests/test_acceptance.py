@@ -52,7 +52,6 @@ from jetframes.frames import (
     coordinate_field,
     enumerate_frame,
     jet_field_block,
-    jet_linear_field,
     solve_jet_field_coefficients,
 )
 from jetframes.jetspace import (
@@ -72,7 +71,7 @@ from jetframes.wronskian import (
     power_wronskian_closed_form,
 )
 
-from reference_helpers import chart_change_oracle, jacobian_rank_at, monomial_oracle_order
+from reference_helpers import chart_change_oracle, jacobian_rank_at, jet_linear_field, monomial_oracle_order
 
 
 def _degrees(mono) -> tuple:

@@ -24,7 +24,6 @@ from jetframes.frames import (
     coefficient_field,
     coordinate_field,
     enumerate_frame,
-    jet_linear_field,
     shifted_coefficient_field,
 )
 from jetframes.jetspace import (
@@ -45,6 +44,7 @@ from reference_helpers import (
     action_coefficients_by_derivation,
     chart_change_oracle,
     chart_transfer_pairs,
+    jet_linear_field,
     monomial_oracle_order,
 )
 from reparam_helpers import inverse_jet, reparam_action, reparam_point, reparam_polynomial

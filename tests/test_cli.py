@@ -2,12 +2,12 @@ import gc
 import hashlib
 import json
 import sys
-import weakref
 from collections import Counter
 
 import pytest
 
 from jetframes import frames
+from jetframes.algebra import MAT
 from jetframes.cli import (
     ReportValidationError,
     RunConfig,
@@ -24,12 +24,12 @@ from jetframes.frames import (
     coefficient_fields,
     coordinate_field,
     elementary_matrix,
-    jet_linear_field,
-    matrix_partials,
     variant_free_frame,
 )
 from jetframes.jetspace import JetContext
 from jetframes.wronskian import VARIANTS
+
+from reference_helpers import jet_linear_field, matrix_partials
 
 
 def run_json(capsys, args):
@@ -228,16 +228,10 @@ def test_default_run_builds_each_frame_part_once(monkeypatch):
 
         monkeypatch.setattr(frames, name, wrapper)
 
-    symbolic = []
-    real_jet_field = frames.jet_linear_field
-
-    def kept_weakly(*args):
-        f = real_jet_field(*args)
-        symbolic.append(weakref.ref(f))
-        return f
-
-    counted("jet_linear_field", kept_weakly, lambda linear_map, *rest: (linear_map is None,))
-    counted("matrix_partials", frames.matrix_partials)
+    built = []
+    real_field = frames.VectorField
+    monkeypatch.setattr(frames, "VectorField", lambda directions=None: built.append(real_field(directions)) or built[-1])
+    counted("elementary_jet_fields", frames.elementary_jet_fields)
     counted("coefficient_field", frames.coefficient_field, lambda variant, alpha, *rest: (variant, tuple(alpha)))
     # a coefficient field is expanded into polynomials only where its
     # VectorField is read
@@ -248,11 +242,10 @@ def test_default_run_builds_each_frame_part_once(monkeypatch):
     try:
         assert run(RunConfig(n=2, d=3, trials=2))["ok"]
         ctx = JetContext(2, 3)
-        assert counts.pop(("jet_linear_field", True)) == 1
-        assert counts.pop(("matrix_partials",)) == 1
-        # no symbolic field outlives the frame it was split into
-        gc.collect()
-        assert len(symbolic) == 1 and symbolic[0]() is None
+        # the E_kl fields are split off the table once, and no field holds a
+        # matrix entry: none is the symbolic jet-linear field
+        assert counts.pop(("elementary_jet_fields",)) == 1
+        assert built and not any(v[0] == MAT for f in built for _, c in f.items() for v in c.variables())
         assert {key[1:]: count for key, count in counts.items() if key[0] == "coefficient_field"} == {
             (variant, alpha): 1
             for variant, _ in VARIANTS

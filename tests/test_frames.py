@@ -26,11 +26,10 @@ from jetframes.frames import (
     coefficient_field,
     coefficient_fields,
     coordinate_field,
+    elementary_jet_fields,
     elementary_matrix,
     enumerate_frame,
     jet_field_block,
-    jet_linear_field,
-    matrix_partials,
     shifted_coefficient_field,
     solve_jet_field_coefficients,
 )
@@ -49,7 +48,13 @@ from jetframes.wronskian import (
     cramer_system_residuals,
 )
 
-from reference_helpers import jet_field_table_by_products, shift_split_identity
+from reference_helpers import (
+    coefficient_direction,
+    jet_field_table_by_products,
+    jet_linear_field,
+    matrix_partials,
+    shift_split_identity,
+)
 
 CTX23 = JetContext(2, 3)
 CTX34 = JetContext(3, 4)
@@ -406,7 +411,7 @@ def test_jet_field_first_order_block_identity():
     for j in range(1, ctx.nvars + 1):
         block = Polynomial.zero()
         for alpha in ctx.coeff_exponents:
-            block = block + table.coefficient_direction(alpha) * ctx.monomial_z(alpha).diff(coord(j))
+            block = block + coefficient_direction(table, alpha) * ctx.monomial_z(alpha).diff(coord(j))
         for gamma in list(ctx.coeff_exponents) + [ctx.normalized_exponent]:
             zg = ctx.monomial_z(gamma)
             for l in range(1, ctx.nvars + 1):
@@ -546,3 +551,26 @@ def test_matrix_parts_reject_a_table_not_linear_in_the_matrix():
         at_ekl = good.substitute_matrix(elementary_matrix(k, l, 3))
         assert at_ekl.top_factor == (1 if (k, l) == (1, 2) else 0)
         assert at_ekl.entries == ({((0, 0, 0), (0, 0, 0)): coeffs[a0]} if coeffs else {})
+
+
+def test_jet_fields_split_off_the_table_reject_a_term_not_linear_in_the_matrix():
+    ctx = CTX23
+    m11, m12 = Polynomial.var(mat(1, 1)), Polynomial.var(mat(1, 2))
+    a = Polynomial.var(ctx.coeff_var((0, 0, 0)))
+    for bad in (m11 * m12, a, m11 * m11, Polynomial.const(1) + m11):
+        table = JetFieldTable(ctx, {((0, 0, 0), (1, 0, 0)): a * m11 + bad}, m12, {})
+        with pytest.raises(ValueError, match=r"d/da\(0,0,0\) direction is not linear"):
+            elementary_jet_fields(table)
+    good = JetFieldTable(ctx, {((0, 0, 0), (1, 0, 0)): 3 * a * m11 + m12}, m12, {})
+    assert elementary_jet_fields(good) == matrix_partials(jet_linear_field(None, ctx, table=good).field, ctx.nvars)
+
+
+@pytest.mark.parametrize("nd", [(1, 2), (2, 3), (3, 4)])
+def test_jet_fields_split_off_the_table_are_the_symbolic_fields_parts(nd):
+    ctx = JetContext(*nd)
+    table = solve_jet_field_coefficients(ctx)
+    parts = matrix_partials(jet_linear_field(None, ctx, table=table).field, ctx.nvars)
+    split = elementary_jet_fields(table)
+    assert list(split) == list(parts)
+    for kl, field in split.items():
+        assert list(field.items()) == list(parts[kl].items()), kl

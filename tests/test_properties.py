@@ -36,7 +36,7 @@ from jetframes.algebra import (  # noqa: E402
     unit_index,
 )
 from jetframes.analysis import sample_for_variant  # noqa: E402
-from jetframes.frames import _remainder  # noqa: E402
+from jetframes.frames import _remainder_columns  # noqa: E402
 from jetframes.jetspace import JetContext, JetPoint, chain_matrix, monomial_series, power_chain  # noqa: E402
 from jetframes.wronskian import VARIANT_POWER  # noqa: E402
 
@@ -374,8 +374,10 @@ REMAINDER_CASES = [case for nd in [(1, 2), (2, 3), (3, 4)] for case in _remainde
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(REMAINDER_CASES))
 def test_remainder_is_its_sum_of_products(case):
-    got = _remainder(*case)
-    assert got == remainder_by_products(*case) and _canonical(got)
+    rho, js, ctx = case
+    # the one row of js in the int columns, each column's entry times its monomial a_gamma * m(l, j)
+    got = dot((monomial, y) for monomial, column in _remainder_columns(rho, (js,), ctx) for _, y in column)
+    assert got == -remainder_by_products(*case) and _canonical(got)
 
 
 def _truncated_product(a, b):

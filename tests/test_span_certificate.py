@@ -441,16 +441,16 @@ def test_a_default_run_applies_no_coefficient_field_to_an_equation(monkeypatch, 
 
 def _move_one_jet_field(monkeypatch, ctx, k, l, v, extra) -> str:
     """Add extra to the v direction of the frame's E_kl field, the symbolic
-    jet-linear field left as it is; the field's label."""
-    real = frames.matrix_partials
+    table left as it is; the field's label."""
+    real = frames.elementary_jet_fields
 
-    def moved(field, size):
-        parts = real(field, size)
+    def moved(table):
+        parts = real(table)
         part = parts[(k, l)]
         parts[(k, l)] = VectorField({**part.coeffs, v: part.get(v) + extra})
         return parts
 
-    monkeypatch.setattr(frames, "matrix_partials", moved)
+    monkeypatch.setattr(frames, "elementary_jet_fields", moved)
     return "jet[" + ";".join(",".join(map(str, row)) for row in frames.elementary_matrix(k, l, ctx.nvars)) + "]"
 
 
@@ -591,3 +591,35 @@ def test_a_jet_in_a_coefficient_direction_takes_the_fallback_for_jet_higher(monk
     assert received == [_coordinate_labels(ctx), [label]]
     if not named:
         assert proof.jet_order0 == label
+
+
+def test_a_default_34_run_decides_the_coordinate_fields_on_e0_alone(monkeypatch, fresh_frames):
+    received = []
+    real = frames._first_nonzero_image
+    monkeypatch.setattr(frames, "_first_nonzero_image", lambda fields, eqs: received.append((fields, eqs)) or real(fields, eqs))
+    assert run(RunConfig(n=3, d=4))["ok"]
+    ctx = JetContext(3, 4)
+    # each coordinate field commutes with D, so X(E_kappa) = D^kappa X(E_0)
+    (fields, eqs), = received
+    assert [f.label for f in fields] == _coordinate_labels(ctx)
+    assert list(eqs) == [defining_equations_iterated(ctx)[0]]
+
+
+@pytest.mark.parametrize("nd", [(2, 3), (3, 4)])
+def test_a_coordinate_field_moving_only_e_n_is_named(monkeypatch, fresh_frames, nd):
+    ctx = JetContext(*nd)
+    eqs = defining_equations_iterated(ctx)
+    real = frames.coordinate_field
+
+    def moved(i, ctx):
+        f = real(i, ctx)
+        if i != 1:
+            return f
+        # d/dz_1^(n) moves E_n alone, by dE_0/dz_1: the field no longer commutes with D
+        return FrameField(f.kind, f.label, VectorField({**f.field.coeffs, jet(1, ctx.n): 1}))
+
+    monkeypatch.setattr(frames, "coordinate_field", moved)
+    field = frames.coordinate_field(1, ctx)
+    assert frames._first_nonzero_image([field], eqs[:-1]) is None
+    assert frames._first_nonzero_image([field], eqs) == "coord[1]"
+    assert frames.tangency_proof(ctx, 1).coordinate == "coord[1]"
