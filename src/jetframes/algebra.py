@@ -282,6 +282,10 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, k: int) -> "Polynomial":
+        """p / k for a nonzero int k: c // k where k divides c, else Fraction(c, k)."""
+        return Polynomial({m: c // k if not c % k else Fraction(c, k) for m, c in self.terms.items()})
+
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power requires a nonnegative integer exponent")

@@ -231,18 +231,16 @@ class JetFieldTable:
         return JetFieldTable(self.ctx, nonzero, self.top_factor.subs(binds), dict(self.block_dets))
 
 
-def solve_jet_field_coefficients(ctx: JetContext, linear_map=None) -> JetFieldTable:
+def solve_jet_field_coefficients(ctx: JetContext) -> JetFieldTable:
     """Solve, block by block in the total monomial index rho, the square linear
     systems determining the coefficient corrections of a jet-linear field.
 
-    With linear_map=None the matrix entries stay symbolic; every solved
-    entry is linear in the matrix entries and of degree <= 2 in the
-    coefficients (see JetFieldTable).  A singular block has determinant 0
-    in block_dets and no entries."""
-    if linear_map is None:
-        table = _solve_symbolic_table(ctx)
-        return JetFieldTable(ctx, dict(table.entries), table.top_factor, dict(table.block_dets))
-    return _solve_symbolic_table(ctx).substitute_matrix(linear_map)
+    The matrix entries stay symbolic; every solved entry is linear in them and
+    of degree <= 2 in the coefficients (see JetFieldTable), and the table at a
+    numeric matrix is its substitute_matrix.  A singular block has
+    determinant 0 in block_dets and no entries."""
+    table = _solve_symbolic_table(ctx)
+    return JetFieldTable(ctx, dict(table.entries), table.top_factor, dict(table.block_dets))
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +313,8 @@ def _solve_symbolic_table(ctx: JetContext) -> JetFieldTable:
     """Each block's right sides are the int columns of _remainder_columns, of
     monomials a_gamma * m(l, j), and a_rho * top_factor on the order-0 row:
     unknown i is one int dot of adj's row i with each column (adj[i][0] for
-    a_rho * top_factor), over det, from one integer_adjugate per block."""
+    a_rho * top_factor), divided by det term by term, from one
+    integer_adjugate per block."""
     top_rho = ctx.normalized_exponent
     entries: dict = {}
     block_dets: dict = {}
@@ -336,7 +335,7 @@ def _solve_symbolic_table(ctx: JetContext) -> JetFieldTable:
         solution = []
         for weights in adj:
             parts = ((p, sum(weights[r] * y for r, y in column)) for p, column in columns)
-            solution.append(dot((p, x) for p, x in parts if x) * Fraction(1, block_dets[rho]))
+            solution.append(dot((p, x) for p, x in parts if x) / block_dets[rho])
         for beta, val in zip(unknowns, solution):
             if not val.is_zero():
                 entries[(mi_sub(rho, beta), beta)] = val
@@ -419,15 +418,10 @@ def _first_nonzero_image(fields, eqs) -> str | None:
     for eq in eqs:
         grad = eq.gradient(moved)  # one equation's partials at a time
         for i, f in enumerate(fields[:first]):
-            if not _image(f.field, grad).is_zero():
+            if not dot((c, grad[v]) for v, c in f.field.items() if v in grad).is_zero():
                 first = i  # only a field before it can still be named
                 break
     return fields[first].label if first < len(fields) else None
-
-
-def _image(field: VectorField, grad: dict) -> Polynomial:
-    """X(E) = sum_v X[v] dE/dv, grad holding E's partials."""
-    return dot((c, grad[v]) for v, c in field.items() if v in grad)
 
 
 def _commutes_with_d(field: VectorField) -> bool:
@@ -461,27 +455,28 @@ def _taylor_parts(field: VectorField, ctx: JetContext, slots) -> tuple | None:
 
 
 class _TaylorIdentities:
-    """Decides X(E_kappa) = 0 for kappa = lowest..n at the base point, for a
-    field X that _taylor_parts accepts: X moves z_k^(lam) by z_l^(lam)
-    (or no jet), no coordinate, and each slot a_alpha by an A_alpha free of
-    jets.  E_kappa = D^kappa E_0 is kappa! [t^kappa] F(z(t)), F = E_0 and
-    z(t) = z + sum_lam z^(lam) t^lam / lam!, so X(E_kappa) is
-    kappa! [t^kappa] H(z(t)), z frozen in
+    """Decides, at the base point, whether X moves E_0 and whether it moves
+    some of E_1..E_n, for a field X that _taylor_parts accepts: X moves
+    z_k^(lam) by z_l^(lam) (or no jet), no coordinate, and each slot a_alpha
+    by an A_alpha free of jets.  E_kappa = D^kappa E_0 is kappa! [t^kappa]
+    F(z(t)), F = E_0 and z(t) = z + sum_lam z^(lam) t^lam / lam!, so
+    X(E_kappa) is kappa! [t^kappa] H(z(t)), z frozen in
         H(zeta) = sum_alpha A_alpha(z) zeta^alpha + (zeta_l - z_l) d_k F(zeta).
     Its Taylor coefficients at zeta = z are I_sigma / sigma!, with
         I_sigma = sum_alpha A_alpha(z) (alpha)_sigma z^(alpha - sigma)
                   + sigma_l d^(sigma - e_l + e_k) F(z),
     (alpha)_sigma = falling_product(alpha, sigma), and hold no jet, so the
     coefficient of (z')^sigma in X(E_|sigma|) is |sigma|!/sigma! I_sigma:
-    X(E_lowest..E_n) = 0 exactly when I_sigma = 0 for lowest <= |sigma| <= n.
+    X(E_0) = I_0, and X(E_1..E_n) = 0 exactly when I_sigma = 0 for
+    1 <= |sigma| <= n.
 
     The terms of every I_sigma of one field go into one dictionary, keyed by
     an int that packs the term's monomial in the other variables (by id),
     sigma (by index) and the z exponent (in radix digits, each below radix),
     and are dropped with the field."""
 
-    def __init__(self, ctx: JetContext, fields, e0: Polynomial, lowest: int):
-        self.ctx, self.e0, self.lowest = ctx, e0, lowest
+    def __init__(self, ctx: JetContext, fields, e0: Polynomial):
+        self.ctx, self.e0 = ctx, e0
         self.slots = frozenset(ctx.coeff_vars)
         # a z exponent of I_sigma is one of a direction's plus alpha - sigma, or one of E_0's
         top = max(
@@ -513,34 +508,35 @@ class _TaylorIdentities:
 
     def below(self, alpha) -> list:
         """(the code of sigma and of alpha - sigma, (alpha)_sigma) for each
-        sigma <= alpha with lowest <= |sigma| <= n."""
+        sigma <= alpha with |sigma| <= n."""
         got = self._below.get(alpha)
         if got is None:
             n, top = self.ctx.n, self.code(alpha)
             got = self._below[alpha] = [
                 (self.sigmas[sigma] * self.span + top - self.code(sigma), falling_product(alpha, sigma))
                 for sigma in product(*(range(min(a, n) + 1) for a in alpha))
-                if self.lowest <= sum(sigma) <= n
+                if sum(sigma) <= n
             ]
         return got
 
     @cached_property
     def f_partials(self) -> dict:
         """{tau: [(code of the term's other pairs and z exponent, c)]}: the
-        terms of d^tau F(z), lowest <= |tau| <= n, read off E_0's terms."""
+        terms of d^tau F(z), 1 <= |tau| <= n, read off E_0's terms."""
         out: dict = {}
         for pairs, top, c in self.split(self.e0):
             zexp = [0] * self.ctx.nvars
             for (_, i), e in pairs:
                 zexp[i - 1] = e
             for tau in product(*(range(min(a, self.ctx.n) + 1) for a in zexp)):
-                if self.lowest <= sum(tau) <= self.ctx.n:
+                if 0 < sum(tau) <= self.ctx.n:
                     out.setdefault(tau, []).append((top - self.code(tau), c * falling_product(zexp, tau)))
         return out
 
-    def vanish(self, field: VectorField) -> bool | None:
-        """Whether every I_sigma of the field is 0; None where _taylor_parts
-        declines the field."""
+    def moves(self, field: VectorField) -> tuple | None:
+        """(I_0 != 0, some I_sigma != 0 with |sigma| >= 1): whether the field
+        moves E_0 and whether it moves some of E_1..E_n; None where
+        _taylor_parts declines the field."""
         parts = _taylor_parts(field, self.ctx, self.slots)
         if parts is None:
             return None
@@ -565,23 +561,19 @@ class _TaylorIdentities:
                 for at, c in terms:
                     key = at + shift
                     acc[key] = get(key, 0) + weight * c
-        return not any(acc.values())
+        higher = {key % self.rest_span >= self.span for key, c in acc.items() if c}  # sigma = 0 has index 0
+        return False in higher, True in higher
 
 
-def _first_moving(fields, eqs, ctx: JetContext, lowest: int) -> str | None:
-    """The label of the first field X with X(E_kappa) != 0 for some kappa =
-    lowest..n, or None: decided by X's Taylor identities at the base point
-    (_TaylorIdentities), or by _first_nonzero_image on X alone where
-    _taylor_parts declines it.  Fields are taken in order, so the label is
-    the one _first_nonzero_image(fields, eqs[lowest:]) gives."""
-    identities = _TaylorIdentities(ctx, [f.field for f in fields], eqs[0], lowest)
-    for f in fields:
-        vanish = identities.vanish(f.field)
-        if vanish is None:
-            vanish = _first_nonzero_image([f], eqs[lowest:]) is None
-        if not vanish:
-            return f.label
-    return None
+def _moves(fields, eqs, ctx: JetContext) -> dict:
+    """{X: (X(E_0) != 0, X(E_kappa) != 0 for some kappa = 1..n)}, by one
+    _TaylorIdentities for all the fields, or, where _taylor_parts declines X
+    (moves gives None), by X(E_0) and _first_nonzero_image on X alone."""
+    identities = _TaylorIdentities(ctx, [f.field for f in fields], eqs[0])
+    return {
+        f: identities.moves(f.field) or (not f.apply(eqs[0]).is_zero(), _first_nonzero_image([f], eqs[1:]) is not None)
+        for f in fields
+    }
 
 
 @lru_cache(maxsize=None)
@@ -627,7 +619,7 @@ class TangencyProof(NamedTuple):
     coefficient: str | None  # the first failure of cramer_tangency over VARIANTS
     shifted: str | None  # the first shifted field moving some E_kappa
     coordinate: str | None  # the first coordinate field moving some E_kappa
-    jet_order0: str | None  # the first E_kl field whose E_kl(E_0) is not t_kl * E_0
+    jet_order0: str | None  # the first E_kl field whose E_kl - t_kl E_0 d/da_0 moves E_0
     jet_higher: str | None  # the first E_kl field moving some E_kappa, kappa >= 1
 
     @property
@@ -641,30 +633,34 @@ class TangencyProof(NamedTuple):
 def tangency_proof(ctx: JetContext, chart: int) -> TangencyProof:
     """Symbolic tangency of the cached frames of one chart, proved once per
     process.  The coefficient fields of each variant are decided by
-    cramer_tangency; the shifted fields on E_0..E_n and the E_kl fields on
-    E_1..E_n by their Taylor identities at the base point (_first_moving),
-    and the coordinate fields, which move z itself, by
+    cramer_tangency, and the coordinate fields, which move z itself, by
     _first_nonzero_image, on E_0 alone where each commutes with D
-    (_commutes_with_d).  E_kl(E_0) must be t_kl * E_0,
-    t_kl the m(k, l) part of top_factor, paired with its field by (k, l).
-    A field that sends E_0 to a multiple of it and E_1..E_n to 0 is tangent
-    at every point of the jet space."""
+    (_commutes_with_d).  One pass (_moves) decides the shifted fields and,
+    per E_kl field, X' = E_kl - t_kl E_0 d/da_0, t_kl the m(k, l) part of
+    top_factor: dE_0/da_0 = 1 and no E_kappa, kappa >= 1, holds a_0, so
+    X'(E_0) = E_kl(E_0) - t_kl E_0 and X'(E_kappa) = E_kl(E_kappa).  A field
+    that sends E_0 to a multiple of it and E_1..E_n to 0 is tangent at
+    every point of the jet space."""
     eqs = defining_equations_iterated(ctx)
     fields = variant_free_frame(ctx)
-    jet_fields = [f for f in fields if f.kind == "jet_linear"]
-    size = range(1, ctx.nvars + 1)
-    labels = {mat(k, l): _jet_label(k, l, ctx.nvars) for k in size for l in size}
-    factors = {labels[m]: t for m, t in _solve_symbolic_table(ctx).top_factor.gradient(labels).items()}
-    grad0 = eqs[0].gradient({v for f in jet_fields for v, _ in f.field.items()})
     coordinate = [f for f in fields if f.kind == "coordinate"]
     commuting = all(_commutes_with_d(f.field) for f in coordinate)
+    coordinate_label = _first_nonzero_image(coordinate, eqs[:1] if commuting else eqs)
+    size = range(1, ctx.nvars + 1)
+    factors = _solve_symbolic_table(ctx).top_factor.gradient({mat(k, l) for k in size for l in size})
+    moved_a0 = {_jet_label(*m[1:], ctx.nvars): t * eqs[0] for m, t in factors.items()}  # t_kl E_0 by E_kl's label
+    a0 = ctx.coeff_var((0,) * ctx.nvars)
+    shifted = [f for f in fields if f.kind == "shifted_coefficient"]
+    primed = [
+        FrameField(f.kind, f.label, VectorField({**f.field.coeffs, a0: f.field.get(a0) - moved_a0.get(f.label, 0)}))
+        for f in fields
+        if f.kind == "jet_linear"
+    ]
+    moves = _moves(shifted + primed, eqs, ctx)
     return TangencyProof(
         coefficient=next(filter(None, (cramer_tangency(ctx, chart, variant) for variant, _ in VARIANTS)), None),
-        shifted=_first_moving([f for f in fields if f.kind == "shifted_coefficient"], eqs, ctx, 0),
-        coordinate=_first_nonzero_image(coordinate, eqs[:1] if commuting else eqs),
-        jet_order0=next(
-            (f.label for f in jet_fields if _image(f.field, grad0) != factors.get(f.label, Polynomial.zero()) * eqs[0]),
-            None,
-        ),
-        jet_higher=_first_moving(jet_fields, eqs, ctx, 1),
+        shifted=next((f.label for f in shifted if any(moves[f])), None),
+        coordinate=coordinate_label,
+        jet_order0=next((f.label for f in primed if moves[f][0]), None),
+        jet_higher=next((f.label for f in primed if moves[f][1]), None),
     )

@@ -317,7 +317,8 @@ def jet_linear_field(linear_map, ctx: JetContext, table: JetFieldTable | None = 
     variety (order 0 reproduces a multiple of the defining polynomial, all
     higher orders are annihilated identically)."""
     if table is None:
-        table = solve_jet_field_coefficients(ctx, linear_map)
+        table = solve_jet_field_coefficients(ctx)
+        table = table if linear_map is None else table.substitute_matrix(linear_map)
     directions: dict = {}
     for k in range(1, ctx.nvars + 1):
         for lam in range(1, ctx.n + 1):

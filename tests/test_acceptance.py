@@ -160,7 +160,7 @@ def test_criterion_04_jet_linear_tangency_and_table():
         lam = [
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)
         ]
-        table = solve_jet_field_coefficients(ctx, lam)
+        table = solve_jet_field_coefficients(ctx).substitute_matrix(lam)
         field = jet_linear_field(lam, ctx, table=table)
         order0 = field.apply(eqs[0])
         assert order0.exact_div(eqs[0]) == table.top_factor, trial

@@ -523,7 +523,7 @@ def test_jet_linear_fields_from_linearity_match_substitution(ctx):
     assert len(framed) == size * size
     for i, linear_map in enumerate(maps):
         ref_field, ref_entries, ref_top = _subs_reference(linear_map, ctx)
-        table = solve_jet_field_coefficients(ctx, linear_map)
+        table = solve_jet_field_coefficients(ctx).substitute_matrix(linear_map)
         assert table.entries == ref_entries and table.top_factor == ref_top, i
         assert jet_linear_field(linear_map, ctx).field == ref_field, i
         if i < len(framed):  # enumerate_frame builds E_kl's field from its part

@@ -5,6 +5,7 @@ first jets, jet matrix of rank r < n) where it must decline."""
 import math
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from jetframes.algebra import (
     determinant,
     integer_bareiss,
     jet,
+    mat,
     rank_rational,
     var_name,
 )
@@ -577,6 +579,23 @@ def test_a_dropped_table_entry_is_named_by_jet_higher(monkeypatch, fresh_frames,
     assert received == [_coordinate_labels(ctx)]
     jet_fields = [f for f in frames.variant_free_frame(ctx) if f.kind == "jet_linear"]
     assert proof.jet_higher == frames._first_nonzero_image(jet_fields, defining_equations_iterated(ctx)[1:])
+
+
+@pytest.mark.parametrize("nd", [(1, 2), (2, 3), (3, 4)])
+def test_a_changed_top_factor_part_is_named_by_jet_order0_alone(monkeypatch, fresh_frames, nd):
+    ctx = JetContext(*nd)
+    real = frames._solve_symbolic_table  # its cached table is copied, not changed
+    table = real(ctx)
+    received = _fallback_fields(monkeypatch)
+    for k, l in product(range(1, ctx.nvars + 1), repeat=2):
+        # t_kl gains a_0: E_kl - t_kl E_0 d/da_0 sends E_0 to -a_0 E_0, and E_1..E_n still to 0
+        top_factor = table.top_factor + ctx.coeff_poly((0,) * ctx.nvars) * Polynomial.var(mat(k, l))
+        changed = frames.JetFieldTable(ctx, dict(table.entries), top_factor, dict(table.block_dets))
+        monkeypatch.setattr(frames, "_solve_symbolic_table", lambda c: changed if c == ctx else real(c))
+        frames.tangency_proof.cache_clear()
+        label = frames._jet_label(k, l, ctx.nvars)
+        assert frames.tangency_proof(ctx, 1) == frames.TangencyProof(None, None, None, label, None), label
+    assert received == [_coordinate_labels(ctx)] * ctx.nvars**2
 
 
 @pytest.mark.parametrize("alpha, named", [((0, 1, 0), True), ((0, 0, 0), False)])

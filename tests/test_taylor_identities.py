@@ -1,17 +1,18 @@
-"""The E_kl and shifted fields proved tangent by their Taylor identities at
-the base point (frames._first_moving), against _first_nonzero_image on their
-images of the equations as the reference."""
+"""The shifted fields and the primed E_kl fields, E_kl - t_kl E_0 d/da_0,
+proved tangent by their Taylor identities at the base point (frames._moves),
+against their images of the equations as the reference: X(E_0) and
+_first_nonzero_image over E_1..E_n."""
+
+from itertools import product
 
 import pytest
 
 from jetframes import algebra, analysis, cli, frames, jetspace, wronskian
-from jetframes.algebra import COEFF, JET, Polynomial, VectorField, coord, jet
+from jetframes.algebra import COEFF, JET, Polynomial, VectorField, coord, jet, mat
 from jetframes.cli import RunConfig, run
 from jetframes.jetspace import JetContext, defining_equations_iterated
 
 CONTEXTS = [(1, 2), (2, 3), (3, 4)]
-# the lowest order each family must annihilate: E_kl(E_0) is t_kl E_0 (jet_order0)
-FAMILIES = {"jet_linear": 1, "shifted_coefficient": 0}
 
 
 def _changed(field: VectorField, v, extra) -> VectorField:
@@ -52,28 +53,42 @@ def _shifted(ctx):
     return [f for f in frames.variant_free_frame(ctx) if f.kind == "shifted_coefficient"]
 
 
+def _family(ctx, kind) -> list:
+    """The frame's shifted fields, or for each E_kl field its primed field
+    E_kl - t_kl E_0 d/da_0, t_kl the m(k, l) part of top_factor."""
+    fields = [f.field for f in frames.variant_free_frame(ctx) if f.kind == kind]
+    if kind == "shifted_coefficient":
+        return fields
+    top = frames.solve_jet_field_coefficients(ctx).top_factor
+    e0, a0 = defining_equations_iterated(ctx)[0], ctx.coeff_var((0,) * ctx.nvars)
+    kls = product(range(1, ctx.nvars + 1), repeat=2)  # the order of elementary_jet_fields
+    return [_changed(f, a0, -top.diff(mat(*kl)) * e0) for kl, f in zip(kls, fields)]
+
+
 @pytest.mark.parametrize("nd", CONTEXTS)
-@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@pytest.mark.parametrize("kind", ["jet_linear", "shifted_coefficient"])
 def test_the_taylor_rule_names_what_the_images_name(nd, kind):
     ctx = JetContext(*nd)
-    lowest = FAMILIES[kind]
     eqs = defining_equations_iterated(ctx)
-    family = [f.field for f in frames.variant_free_frame(ctx) if f.kind == kind]
-    decided = {True: 0, False: 0}
+    family = _family(ctx, kind)
+    decided: dict = {}
     for i, field in enumerate(family):
         for name, (changed, accepted) in _mutations(field, family[(i + 1) % len(family)], ctx).items():
             f = frames.FrameField(kind, f"{i}:{name}", changed)
-            reference = frames._first_nonzero_image([f], eqs[lowest:])
-            assert frames._first_moving([f], eqs, ctx, lowest) == reference, f.label
+            # E_0 and E_1..E_n each on their own
+            reference = (not changed.apply(eqs[0]).is_zero(), frames._first_nonzero_image([f], eqs[1:]) == f.label)
+            assert frames._moves([f], eqs, ctx) == {f: reference}, f.label
             # the rule decides every field _taylor_parts accepts, and only those
-            rule = frames._TaylorIdentities(ctx, [changed], eqs[0], lowest).vanish(changed)
+            rule = frames._TaylorIdentities(ctx, [changed], eqs[0]).moves(changed)
             assert (rule is not None) == accepted, f.label
             if accepted:
-                assert rule == (reference is None), f.label
-                decided[rule] += 1
-    # both verdicts occur, and every real field is tangent
-    assert decided[True] >= len(family) and decided[False] > 0
-    assert frames._first_moving([frames.FrameField(kind, "", f) for f in family], eqs, ctx, lowest) is None
+                assert rule == reference, f.label
+                decided[rule] = decided.get(rule, 0) + 1
+    # every real field is tangent, and each of E_0 and E_1..E_n is moved by some field
+    assert decided[(False, False)] >= len(family)
+    assert any(m0 for m0, _ in decided) and any(higher for _, higher in decided)
+    fields = [frames.FrameField(kind, str(i), f) for i, f in enumerate(family)]
+    assert set(frames._moves(fields, eqs, ctx).values()) == {(False, False)}
 
 
 def _clear_every_cache():
@@ -95,3 +110,17 @@ def test_a_fresh_default_34_run_reads_images_of_the_coordinate_fields_only(monke
     ctx = JetContext(3, 4)
     assert [[f.label for f in fields] for fields in received] == [[f"coord[{i}]" for i in range(1, ctx.nvars + 1)]]
     assert all(f.kind == "coordinate" for fields in received for f in fields)
+
+
+def test_a_fresh_default_34_run_builds_one_set_of_taylor_identities_per_proof(monkeypatch):
+    built = []
+    real = frames._TaylorIdentities
+    monkeypatch.setattr(frames, "_TaylorIdentities", lambda *args: built.append(args) or real(*args))
+    _clear_every_cache()
+    try:
+        assert run(RunConfig(n=3, d=4))["ok"]
+        proofs = frames.tangency_proof.cache_info().misses
+    finally:
+        _clear_every_cache()
+    # the shifted and primed E_kl fields share one pass
+    assert proofs == 1 and len(built) == proofs
