@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 from .algebra import (
@@ -443,13 +443,12 @@ def _field_forms(field: FrameField, ctx: JetContext, columns: Sequence[int] | No
     """(ambient index, integer form) for each direction the field moves, or
     for those among the given ambient indices, the forms sharing one scale
     and degree.  A CramerField read at its own slot alone gives W's form,
-    without expanding the field."""
+    one per system, without expanding the field."""
     ambient = ctx.ambient_variables
-    indices = range(len(ambient)) if columns is None else columns
     if isinstance(field, CramerField) and columns is not None and {ambient[j] for j in columns} == {field.slot}:
-        directions = {field.slot: field.scale}
-    else:
-        directions = field.field.coeffs
+        return [(j, _determinant_form(field.solved, ctx)) for j in columns]
+    directions = field.field.coeffs
+    indices = range(len(ambient)) if columns is None else columns
     slots = [(j, directions[ambient[j]]) for j in indices if ambient[j] in directions]
     forms = common_integer_forms([p for _, p in slots])
     return [(j, form) for (j, _), form in zip(slots, forms)]
@@ -490,8 +489,17 @@ class SpanPattern:
         gives the same verdict."""
         if not all(rows[r][c] for r, c in self.pivots):
             return False
-        block = [[rows[r][c] for c in self.jet_columns] for r in self.jet_rows]
-        return integer_bareiss(block)[0] == len(self.jet_columns)
+        block = tuple(tuple(rows[r][c] for c in self.jet_columns) for r in self.jet_rows)
+        return _column_rank(block) == len(self.jet_columns)
+
+
+@lru_cache(maxsize=1)
+def _column_rank(block: tuple) -> int:
+    """The rank of an integer matrix, kept for the last matrix asked: the
+    variants' frames share their jet block, so at each point of a spanning
+    pass the second variant's certificate reads the first one's
+    elimination.  The pass empties it when it ends."""
+    return integer_bareiss(block)[0]
 
 
 def span_pattern(fields: Sequence[FrameField], ctx: JetContext, chart: int, variant: int) -> SpanPattern:
@@ -553,9 +561,9 @@ def span_pattern(fields: Sequence[FrameField], ctx: JetContext, chart: int, vari
     return SpanPattern(tuple(pivots), tuple(jet_rows), jet_columns)
 
 
-# Draws sample_for_variant makes before giving up.  The degenerate loci are
-# proper subvarieties, so a uniform draw rarely lands on one; hitting the limit
-# means the sampler is broken, not unlucky.
+# Inadmissible draws in a row after which a variant gives up.  The degenerate
+# loci are proper subvarieties, so a uniform draw rarely lands on one; hitting
+# the limit means the sampler is broken, not unlucky.
 SAMPLE_ATTEMPTS = 1000
 
 
@@ -564,26 +572,88 @@ class SamplingError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _determinant_form(ctx: JetContext, chart: int, variant: int) -> IntegerPolynomial:
-    """The integer form of the variant's system determinant W."""
-    return IntegerPolynomial(system_determinant(solved_exponents(variant, ctx, chart), ctx))
+def _determinant_form(solved: tuple, ctx: JetContext) -> IntegerPolynomial:
+    """The integer form of the system determinant W over the solved slots."""
+    return IntegerPolynomial(system_determinant(solved, ctx))
+
+
+class _Draw:
+    """One sampled point, and what every variant's trial reads of it, each
+    taken at most once: rank J and each integer form's numerator."""
+
+    def __init__(self, point: JetPoint, ctx: JetContext, chart: int):
+        self.point = point
+        self.ctx, self.chart = ctx, chart
+        self._values: dict = {}  # integer form -> its numerator here
+
+    def value(self, form: IntegerPolynomial) -> int:
+        if form not in self._values:
+            self._values[form] = form.numerator(self.point.integer_point)
+        return self._values[form]
+
+    def row(self, columns, forms) -> dict:
+        """{column: integer entry} of a row read at the columns, from the
+        forms of its nonzero entries there."""
+        row = dict.fromkeys(columns, 0)
+        row.update((j, self.value(form)) for j, form in forms)
+        return row
+
+    @cached_property
+    def chain_minor_nonzero(self) -> bool:
+        """J's minor on the columns a_0, a_(e_c), ..., a_(n e_c) (c the
+        chart) is det(chain_matrix) up to a nonzero integer, the a_0 column
+        being (1, 0, ..., 0); where it is nonzero, rank J = n+1."""
+        return integer_bareiss(chain_matrix(self.point.series(self.ctx)[1], self.ctx, self.chart))[1] != 0
+
+    @cached_property
+    def jacobian(self) -> list:
+        return jacobian_matrix_at(self.point, self.ctx)[0]
+
+    @cached_property
+    def jacobian_rank(self) -> int:
+        return rank_rational(self.jacobian)
+
+
+def _admissible_draws(ctx: JetContext, chart: int, rng: random.Random, variants: Sequence[int], trials: int):
+    """Yield (draw, takers) until each variant has trials points: every
+    draw is offered to each variant still short of them, and takers are the
+    indices of those it is admissible for, in the open locus the variant
+    needs: first jets not all zero (automatic: the chart jet is nonzero),
+    and a nonvanishing system determinant of the variant's solved slots
+    (automatic for the power chain on its own chart: c (z_chart')^m).  So a
+    variant's t-th point is the t-th admissible draw of the stream, as if it
+    drew alone.  A variant that meets SAMPLE_ATTEMPTS inadmissible draws in
+    a row raises SamplingError."""
+    forms = [_determinant_form(solved_exponents(variant, ctx, chart), ctx) for variant in variants]
+    needed = [trials] * len(variants)
+    misses = [0] * len(variants)
+    while any(needed):
+        draw = _Draw(sample_vertical_jet(ctx, chart, rng), ctx, chart)
+        flat = first_jets_all_zero(draw.point, ctx)
+        takers = []
+        for k, variant in enumerate(variants):
+            if not needed[k]:
+                continue
+            if flat or draw.value(forms[k]) == 0:
+                misses[k] += 1
+                if misses[k] == SAMPLE_ATTEMPTS:
+                    raise SamplingError(
+                        f"no admissible point for variant {variant} on chart {chart} "
+                        f"in {SAMPLE_ATTEMPTS} draws at (n, d) = ({ctx.n}, {ctx.d})"
+                    )
+                continue
+            misses[k] = 0
+            needed[k] -= 1
+            takers.append(k)
+        if takers:
+            yield draw, takers
 
 
 def sample_for_variant(ctx: JetContext, chart: int, variant: int, rng: random.Random) -> JetPoint:
-    """Sample a certified point in the open locus the variant needs: first
-    jets not all zero (automatic: the chart jet is nonzero), and a nonvanishing
-    system determinant of the variant's solved slots (automatic for the power
-    chain on its own chart: c (z_chart')^m)."""
-    w = _determinant_form(ctx, chart, variant)
-    for _ in range(SAMPLE_ATTEMPTS):
-        point = sample_vertical_jet(ctx, chart, rng)
-        if first_jets_all_zero(point, ctx) or w.numerator(point.integer_point) == 0:
-            continue
-        return point
-    raise SamplingError(
-        f"no admissible point for variant {variant} on chart {chart} "
-        f"in {SAMPLE_ATTEMPTS} draws at (n, d) = ({ctx.n}, {ctx.d})"
-    )
+    """The first admissible draw for the variant (see _admissible_draws);
+    rng advances past that draw and no further."""
+    draw, _ = next(_admissible_draws(ctx, chart, rng, (variant,), 1))
+    return draw.point
 
 
 def _full_rows(fields, compiled, ipoint, jac, ctx) -> tuple[list, str | None]:
@@ -604,6 +674,96 @@ def _full_rows(fields, compiled, ipoint, jac, ctx) -> tuple[list, str | None]:
     return vectors, offender
 
 
+class _VariantSpan:
+    """One variant's spanning check in a pass: its frame, pattern and
+    certificate, read once, and its trials, one per admissible draw."""
+
+    def __init__(self, ctx: JetContext, chart: int, variant: int, fields, forms: dict):
+        self.ctx = ctx
+        self.variant = variant
+        self.cached = fields is None
+        self.fields = enumerate_frame(ctx, chart, variant) if self.cached else fields
+        self.expected = ctx.ambient_dimension - (ctx.n + 1)
+        try:
+            self.pattern = span_pattern(self.fields, ctx, chart, variant)
+        except SpanPatternError:
+            self.pattern = None
+        self.proved = self.cached and tangency_proof(ctx, chart).holds
+        self._forms = forms
+        # with tangency proved, the certificate's entries are all a point needs
+        self.certificate = None
+        if self.proved and self.pattern is not None:
+            self.certificate = [
+                (r, columns, self._forms_of(self.fields[r], tuple(columns)))
+                for r, columns in self.pattern.entries().items()
+            ]
+        self.compiled = None  # every field's full forms, built on first need
+        self.results = []
+
+    def _forms_of(self, field, columns) -> list:
+        """_field_forms, built once per pass: the variants' frames share
+        their variant-free fields, and so each form's value at a draw."""
+        key = (field, columns)
+        if key not in self._forms:
+            self._forms[key] = _field_forms(field, self.ctx, columns)
+        return self._forms[key]
+
+    def trial(self, draw: _Draw) -> None:
+        ctx = self.ctx
+        if self.cached and draw.chain_minor_nonzero:
+            jrank = ctx.n + 1
+        else:
+            jrank = draw.jacobian_rank
+        offender = None
+        certified = False
+        if self.certificate is not None and jrank == ctx.n + 1:
+            certified = self.pattern.certifies({r: draw.row(c, forms) for r, c, forms in self.certificate})
+        if not certified:
+            if self.compiled is None:
+                self.compiled = [self._forms_of(f, None) for f in self.fields]
+            jac = None if self.proved else draw.jacobian
+            vectors, offender = _full_rows(self.fields, self.compiled, draw.point.integer_point, jac, ctx)
+            if self.certificate is None:
+                certified = (
+                    offender is None
+                    and jrank == ctx.n + 1
+                    and self.pattern is not None
+                    and self.pattern.certifies(vectors)
+                )
+        self.results.append(
+            SpanningTrial(
+                index=len(self.results),
+                tangent_ok=offender is None,
+                first_offender=offender,
+                jacobian_rank=jrank,
+                rank=self.expected if certified else rank_rational(vectors),
+                expected_rank=self.expected,
+            )
+        )
+
+
+def _spanning_pass(ctx: JetContext, chart: int, trials: int, seed: int, checks: Sequence[tuple]) -> list:
+    """One SpanningTrial list per (variant, fields) of checks, from one
+    stream of draws: each draw is lifted once and checked for every variant
+    it is admissible for, then dropped."""
+    forms: dict = {}  # (field, columns) -> integer forms; the frames share their variant-free fields
+    spans = [_VariantSpan(ctx, chart, variant, fields, forms) for variant, fields in checks]
+    draws = _admissible_draws(ctx, chart, random.Random(seed), [span.variant for span in spans], trials)
+    for draw, takers in draws:
+        for k in takers:
+            spans[k].trial(draw)
+    _column_rank.cache_clear()  # the last point's jet block; no point outlives the pass
+    return [span.results for span in spans]
+
+
+def spanning_checks(ctx: JetContext, chart: int = 1, trials: int = 5, seed: int = 0) -> list:
+    """spanning_check of the cached frame for each variant of VARIANTS, in
+    that order, in one pass: each draw is made, lifted and certified once,
+    its chain minor and the variant-free entries taken once, and each
+    variant's t-th trial is at the point spanning_check gives it."""
+    return _spanning_pass(ctx, chart, trials, seed, [(variant, None) for variant, _ in VARIANTS])
+
+
 def spanning_check(
     ctx: JetContext,
     chart: int = 1,
@@ -612,19 +772,21 @@ def spanning_check(
     variant: int = VARIANT_POWER,
     fields: Sequence[FrameField] | None = None,
 ) -> list:
-    """For each trial: sample a certified point in the admissible locus,
-    verify every enumerated field is tangent there (annihilates all Jacobian
-    rows), and check the stacked field values span the full tangent space.
+    """For each trial: sample a point in the variant's admissible locus
+    (the t-th admissible draw of random.Random(seed)), verify every
+    enumerated field is tangent there (annihilates all Jacobian rows), and
+    check the stacked field values span the full tangent space.  It is the
+    one-variant case of the pass spanning_checks makes for both.
 
     All of it runs on integer rows: each field's row is its value times
-    scale * D^degree (its integer forms, built once per call, share one scale
-    and degree; D is the point's common denominator), and jacobian_matrix_at
-    gives the Jacobian times one integer.  Scaling a row by a nonzero integer
-    changes neither tangency nor any rank.
+    scale * D^degree (its integer forms, built once per pass, share one
+    scale and degree; D is the point's common denominator), and
+    jacobian_matrix_at gives the Jacobian times one integer.  Scaling a row
+    by a nonzero integer changes neither tangency nor any rank.
 
     Tangent fields lie in ker J, of dimension expected once rank J = n+1, so
     the field rank is at most expected.  The frame's span_pattern, read once
-    per call, proves it at least expected wherever its pivots hold.  Where
+    per pass, proves it at least expected wherever its pivots hold.  Where
     they fail, or the fields break the pattern, rank_rational decides.
 
     Fields passed explicitly take the full pointwise route, the reference:
@@ -637,59 +799,5 @@ def spanning_check(
       (1, 0, ..., 0), and proves rank J = n+1 where it is nonzero;
     - the rows are evaluated only at the pattern's entries(), and in full
       only where the certificate declines."""
-    rng = random.Random(seed)
-    cached = fields is None
-    if cached:
-        fields = enumerate_frame(ctx, chart, variant)
-    expected = ctx.ambient_dimension - (ctx.n + 1)
-    try:
-        pattern = span_pattern(fields, ctx, chart, variant)
-    except SpanPatternError:
-        pattern = None
-    proved = cached and tangency_proof(ctx, chart).holds
-    # with tangency proved, the certificate's entries are all a point needs
-    certificate = None
-    if proved and pattern is not None:
-        certificate = [
-            (r, columns, _field_forms(fields[r], ctx, columns)) for r, columns in pattern.entries().items()
-        ]
-    compiled = None  # every field's full forms, built on first need
-    results = []
-    for t in range(trials):
-        point = sample_for_variant(ctx, chart, variant, rng)
-        ipoint = point.integer_point
-        jac = None
-        if cached and integer_bareiss(chain_matrix(point.series(ctx)[1], ctx, chart))[1]:
-            jrank = ctx.n + 1
-        else:
-            jac = jacobian_matrix_at(point, ctx)[0]
-            jrank = rank_rational(jac)
-        offender = None
-        certified = False
-        if certificate is not None and jrank == ctx.n + 1:
-            rows = {}
-            for r, columns, forms in certificate:
-                rows[r] = dict.fromkeys(columns, 0)
-                rows[r].update((j, form.numerator(ipoint)) for j, form in forms)
-            certified = pattern.certifies(rows)
-        if not certified:
-            if not proved and jac is None:
-                jac = jacobian_matrix_at(point, ctx)[0]
-            if compiled is None:
-                compiled = [_field_forms(f, ctx) for f in fields]
-            vectors, offender = _full_rows(fields, compiled, ipoint, None if proved else jac, ctx)
-            if certificate is None:
-                certified = (
-                    offender is None and jrank == ctx.n + 1 and pattern is not None and pattern.certifies(vectors)
-                )
-        results.append(
-            SpanningTrial(
-                index=t,
-                tangent_ok=offender is None,
-                first_offender=offender,
-                jacobian_rank=jrank,
-                rank=expected if certified else rank_rational(vectors),
-                expected_rank=expected,
-            )
-        )
+    (results,) = _spanning_pass(ctx, chart, trials, seed, [(variant, fields)])
     return results

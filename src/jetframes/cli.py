@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .algebra import COEFF, JET, iter_terms
-from .analysis import invariance_proved, spanning_check, verify_pole_table
+from .analysis import invariance_proved, spanning_checks, verify_pole_table
 from .frames import coefficient_fields, cramer_tangency, enumerate_frame, solve_jet_field_coefficients, tangency_proof
 from .jetspace import (
     JetContext,
@@ -161,10 +161,8 @@ def suite_pole_orders(config: RunConfig) -> tuple[list, dict]:
 def suite_span(config: RunConfig) -> tuple[list, dict]:
     ctx = config.context()
     items = []
-    for variant, label in VARIANTS:
-        results = spanning_check(
-            ctx, chart=config.chart, trials=config.trials, seed=config.seed, variant=variant
-        )
+    checks = spanning_checks(ctx, chart=config.chart, trials=config.trials, seed=config.seed)
+    for (_, label), results in zip(VARIANTS, checks):
         items.append(_bool_item(f"all frame fields tangent at sampled points ({label})", all(r.tangent_ok for r in results)))
         items.append(
             _item(

@@ -43,7 +43,8 @@ from .algebra import (
 
 @dataclass(frozen=True)
 class JetContext:
-    """Parameters (n, d) with d > n, plus derived variable bookkeeping."""
+    """Parameters (n, d) with d > n, plus derived variable bookkeeping,
+    built once per context; equality and hashing read (n, d) only."""
 
     n: int
     d: int
@@ -58,36 +59,35 @@ class JetContext:
     def nvars(self) -> int:
         return self.n + 1
 
-    @property
+    @cached_property
     def normalized_exponent(self) -> tuple:
         """The slot (d, 0, ..., 0) whose coefficient is the constant 1."""
-        e = [0] * self.nvars
-        e[0] = self.d
-        return tuple(e)
+        return (self.d,) + (0,) * self.n
 
-    @property
+    @cached_property
     def coeff_exponents(self) -> tuple:
-        return _coeff_exponents(self)
+        exps = enumerate_exponents(self.nvars, self.d)
+        return tuple(a for a in exps if a != self.normalized_exponent)
 
     @property
     def num_coeffs(self) -> int:
         return math.comb(self.nvars + self.d, self.d) - 1
 
-    @property
+    @cached_property
     def coord_vars(self) -> tuple:
         return tuple(coord(i) for i in range(1, self.nvars + 1))
 
-    @property
+    @cached_property
     def jet_vars(self) -> tuple:
         return tuple(
             jet(i, lam) for lam in range(1, self.n + 1) for i in range(1, self.nvars + 1)
         )
 
-    @property
+    @cached_property
     def coeff_vars(self) -> tuple:
         return tuple(coeff(a) for a in self.coeff_exponents)
 
-    @property
+    @cached_property
     def ambient_variables(self) -> tuple:
         """Coordinates, then coefficients, then jets grouped by order."""
         return self.coord_vars + self.coeff_vars + self.jet_vars
@@ -120,12 +120,6 @@ class JetContext:
 
 
 @lru_cache(maxsize=None)
-def _coeff_exponents(ctx: JetContext) -> tuple:
-    exps = enumerate_exponents(ctx.nvars, ctx.d)
-    return tuple(a for a in exps if a != ctx.normalized_exponent)
-
-
-@lru_cache(maxsize=None)
 def _total_derivation(ctx: JetContext) -> VectorField:
     """D = sum_k sum_(lam < n) z_k^(lam+1) d/dz_k^(lam), with z_k^(0) = z_k."""
     directions = {}
@@ -146,6 +140,7 @@ def total_derivative(p: Polynomial, ctx: JetContext) -> Polynomial:
     return _total_derivation(ctx).apply(p)
 
 
+@lru_cache(maxsize=None)
 def power_chain(ctx: JetContext, chart: int) -> tuple:
     """The exponents k * e_chart, k = 1..n: the coefficient slots besides the
     constant one that the power chart solves for."""
@@ -370,12 +365,7 @@ def lift_vertical_jet(base: dict, ctx: JetContext, chart: int, rng: random.Rando
     # q * s^d, q the lcm of the drawn denominators, the known part of the
     # sum is the integer series K = sum_alpha (q a_alpha) s^(d-|alpha|) I_alpha
     solved = power_chain(ctx, chart)
-    zero_alpha = (0,) * ctx.nvars
-    drawn = [
-        (alpha, v)
-        for alpha, v in zip(ctx.coeff_exponents, ctx.coeff_vars)
-        if alpha != zero_alpha and alpha not in solved
-    ]
+    drawn = _drawn_slots(ctx, chart)
     for _, v in drawn:
         assignment[v] = random_rational(rng)
     q = math.lcm(*(assignment[v].denominator for _, v in drawn))
@@ -391,7 +381,7 @@ def lift_vertical_jet(base: dict, ctx: JetContext, chart: int, rng: random.Rando
     for k, (alpha, y) in enumerate(zip(solved, solution), start=1):
         assignment[coeff(alpha)] = Fraction(y * powers[k], scale)
     e0 = known[0] + sum(y * series[alpha][0] for alpha, y in zip(solved, solution))
-    assignment[coeff(zero_alpha)] = Fraction(-e0, scale)
+    assignment[coeff((0,) * ctx.nvars)] = Fraction(-e0, scale)
 
     ipoint = point.integer_point
     if any(form.numerator(ipoint) for form in _equation_forms(ctx)):
@@ -402,6 +392,18 @@ def lift_vertical_jet(base: dict, ctx: JetContext, chart: int, rng: random.Rando
             f"sampled point fails certification: residues {residues} at {point.to_json()}"
         )
     return point
+
+
+@lru_cache(maxsize=None)
+def _drawn_slots(ctx: JetContext, chart: int) -> tuple:
+    """(alpha, a_alpha) of each coefficient the sampler draws: every slot but
+    a_0 and the power chain, which lift_vertical_jet solves."""
+    solved = power_chain(ctx, chart)
+    return tuple(
+        (alpha, v)
+        for alpha, v in zip(ctx.coeff_exponents, ctx.coeff_vars)
+        if any(alpha) and alpha not in solved
+    )
 
 
 def chain_matrix(series: dict, ctx: JetContext, chart: int) -> list:

@@ -16,6 +16,7 @@ from jetframes.analysis import (
     pushforward_field,
     sample_for_variant,
     spanning_check,
+    spanning_checks,
     verify_pole_table,
 )
 from jetframes.frames import (
@@ -531,6 +532,91 @@ def test_sampler_gives_up_with_named_error(monkeypatch):
     assert len(draws) == 7
     # the power variant accepts the same point at once
     assert analysis.sample_for_variant(ctx, 1, VARIANT_POWER, random.Random(0)).chart == 1
+
+
+# -- both variants in one pass -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, d, trials, seeds",
+    [(1, 2, 6, (0, 1)), (2, 3, 6, (0, 1)), (2, 3, 120, (3, 4)), (3, 4, 2, (0,))],
+    ids=["1-2", "2-3", "2-3-skipped-draws", "3-4"],
+)
+def test_one_pass_equals_a_check_per_variant(n, d, trials, seeds):
+    ctx = JetContext(n, d)
+    for chart in range(1, ctx.nvars + 1):
+        for seed in seeds:
+            alone = [spanning_check(ctx, chart=chart, trials=trials, seed=seed, variant=v) for v, _ in VARIANTS]
+            assert spanning_checks(ctx, chart=chart, trials=trials, seed=seed) == alone
+
+
+def _spy_on_trials(monkeypatch) -> list:
+    """(variant, point) of each trial a spanning pass takes, in order."""
+    import jetframes.analysis as analysis
+
+    seen = []
+    real = analysis._VariantSpan.trial
+
+    def trial(self, draw):
+        seen.append((self.variant, draw.point))
+        return real(self, draw)
+
+    monkeypatch.setattr(analysis._VariantSpan, "trial", trial)
+    return seen
+
+
+def test_each_variant_of_the_pass_checks_the_points_it_draws_alone(monkeypatch):
+    seen = _spy_on_trials(monkeypatch)
+    # at seeds 3 and 4 the classical variant skips draws the power variant takes
+    for seed in (3, 4):
+        seen.clear()
+        spanning_checks(CTX23, chart=1, trials=120, seed=seed)
+        for variant, _ in VARIANTS:
+            rng = random.Random(seed)
+            alone = [sample_for_variant(CTX23, 1, variant, rng) for _ in range(120)]
+            assert [point for v, point in seen if v == variant] == alone
+
+
+def test_a_span_run_draws_each_point_once(monkeypatch):
+    import jetframes.analysis as analysis
+    from jetframes.cli import RunConfig, run
+
+    draws = []
+    real = analysis.sample_vertical_jet
+    monkeypatch.setattr(analysis, "sample_vertical_jet", lambda *args: draws.append(args[1]) or real(*args))
+    for seed, skipped in ((0, 0), (3, 2)):
+        # the classical variant alone skips these draws; the power variant takes every draw
+        draws.clear()
+        rng = random.Random(seed)
+        for _ in range(120):
+            sample_for_variant(CTX23, 1, VARIANT_CLASSICAL, rng)
+        assert len(draws) == 120 + skipped
+        draws.clear()
+        assert run(RunConfig(n=2, d=3, trials=120, seed=seed, suites=("span",)))["ok"]
+        assert len(draws) == 120 + skipped
+
+
+def test_one_pass_gives_up_with_named_error(monkeypatch):
+    import jetframes.analysis as analysis
+
+    ctx = CTX23
+    real = sample_vertical_jet(ctx, 1, rng=4)
+    # every classical Wronskian minor vanishes where only the chart jet is
+    # nonzero, while the power variant admits the point
+    degenerate = {v: 0 if v[0] == JET and v != jet(1, 1) else x for v, x in real.assignment.items()}
+    draws = []
+
+    def stuck_sampler(ctx, chart, rng):
+        draws.append(chart)
+        return JetPoint(dict(degenerate), chart)
+
+    monkeypatch.setattr(analysis, "sample_vertical_jet", stuck_sampler)
+    monkeypatch.setattr(analysis, "SAMPLE_ATTEMPTS", 7)
+    taken = _spy_on_trials(monkeypatch)
+    with pytest.raises(analysis.SamplingError, match="for variant 2 on chart 1 in 7 draws"):
+        spanning_checks(ctx, chart=1, trials=1, seed=0)
+    assert [variant for variant, _ in taken] == [VARIANT_POWER]
+    assert len(draws) == 7
 
 
 @pytest.mark.parametrize("n,d", [(1, 2), (1, 3), (2, 4)])

@@ -44,6 +44,16 @@ def test_context_validation():
         JetContext(0, 5)
 
 
+def test_context_builds_its_variables_once_and_compares_by_its_parameters():
+    ctx = JetContext(2, 3)
+    for name in ("normalized_exponent", "coeff_exponents", "coord_vars", "jet_vars", "coeff_vars", "ambient_variables"):
+        assert getattr(ctx, name) is getattr(ctx, name), name
+    fresh = JetContext(2, 3)
+    assert ctx == fresh and hash(ctx) == hash(fresh) and ctx != JetContext(2, 4)
+    assert fresh.ambient_variables == ctx.coord_vars + ctx.coeff_vars + ctx.jet_vars
+    assert ctx.normalized_exponent == (3, 0, 0) and ctx.normalized_exponent not in ctx.coeff_exponents
+
+
 def test_coefficient_count():
     # affine count: full projective count minus the normalized slot
     assert CTX23.num_coeffs == math.comb(6, 3) - 1 == 19

@@ -253,7 +253,7 @@ def test_spanning_check_takes_the_exact_rank_at_a_rank_one_point(monkeypatch):
     # decides on the frame's rows as spanning_check scales them
     ctx = JetContext(3, 4)
     point = _low_rank_point(ctx, 1, random.Random(43))
-    monkeypatch.setattr(analysis, "sample_for_variant", lambda *args: point)
+    monkeypatch.setattr(analysis, "sample_vertical_jet", lambda *args: point)
     (trial,) = spanning_check(ctx, chart=1, trials=1, variant=VARIANT_POWER)
     assert trial.tangent_ok and trial.jacobian_rank == ctx.n + 1
     assert (trial.rank, trial.expected_rank) == (73, 81)
